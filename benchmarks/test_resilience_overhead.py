@@ -15,17 +15,11 @@ import json
 import pathlib
 import time
 
-from repro.core.placement import PlacementSpec
-from repro.core.spider import SpiderSpec, SpiderSystem
+from repro.core.spider import SpiderSystem
 from repro.faults import FaultCampaign, FaultPlan
-from repro.hardware.controller import ControllerSpec
-from repro.hardware.disk import DiskSpec
-from repro.hardware.ssu import SsuSpec
-from repro.lustre.oss import OssSpec
-from repro.network.infiniband import FabricSpec
-from repro.network.torus import TorusSpec
 from repro.resilience import RemediationPolicy
-from repro.units import DAY, GB, HOUR
+from repro.units import DAY, HOUR
+from tests.conftest import mini_spec
 
 BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_resilience.json"
 
@@ -35,38 +29,13 @@ _N_FAULTS = 12
 _SEED = 2014
 
 
-def _mini_system() -> SpiderSystem:
-    spec = SpiderSpec(
-        name="mini",
-        n_ssus=4,
-        ssu=SsuSpec(
-            n_enclosures=10,
-            disks_per_enclosure=7,
-            disk=DiskSpec(),
-            controller=ControllerSpec(
-                block_bw_cap=4.0 * GB,
-                fs_bw_cap=2.4 * GB,
-                upgraded_fs_bw_cap=3.8 * GB,
-            ),
-        ),
-        n_namespaces=2,
-        oss=OssSpec(node_bw_cap=5.0 * GB, n_osts=7),
-        fabric=FabricSpec(n_leaf_switches=4, n_core_switches=2),
-        torus=TorusSpec(dims=(5, 4, 6)),
-        placement=PlacementSpec(n_modules=6, routers_per_module=4,
-                                n_leaves=4),
-        n_compute_nodes=128,
-    )
-    return SpiderSystem(spec, seed=_SEED)
-
-
 def _run(policy: RemediationPolicy | None) -> float:
     # Campaigns mutate the system, so the build happens outside the
     # timed region — the bench measures campaign cost, not construction.
     # The plan window is half the horizon so every repair *and* rebuild
     # settles in both arms: the two sides then perform the same number of
     # flow re-solves and the delta is pure remediation machinery.
-    system = _mini_system()
+    system = SpiderSystem(mini_spec(), seed=_SEED)
     plan = FaultPlan.random(system, duration=12 * HOUR, n_faults=_N_FAULTS,
                             seed=_SEED)
     campaign = FaultCampaign(system, plan, duration=DAY, remediation=policy)

@@ -29,16 +29,9 @@ import statistics
 import time
 from dataclasses import replace
 
-from repro.core.placement import PlacementSpec
 from repro.core.spider import SpiderSpec, SpiderSystem
-from repro.hardware.controller import ControllerSpec
-from repro.hardware.disk import DiskSpec
-from repro.hardware.ssu import SsuSpec
-from repro.lustre.oss import OssSpec
-from repro.network.infiniband import FabricSpec
 from repro.network.routing import BackpressureController, LinkStatsFeed
 from repro.network.storm import run_storm_study
-from repro.network.torus import TorusSpec
 from repro.sched import (
     BACKBONE_COMPONENT,
     FacilityScheduler,
@@ -47,6 +40,7 @@ from repro.sched import (
     generate_jobs,
 )
 from repro.units import GB, HOUR
+from tests.conftest import mini_spec
 
 BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_routing.json"
 
@@ -73,35 +67,10 @@ _LIMIT_FRACTION = 0.10
 _JOBS_PER_S_FLOOR = 1_500.0
 
 
-def _mini_system() -> SpiderSystem:
-    spec = SpiderSpec(
-        name="mini",
-        n_ssus=4,
-        ssu=SsuSpec(
-            n_enclosures=10,
-            disks_per_enclosure=7,
-            disk=DiskSpec(),
-            controller=ControllerSpec(
-                block_bw_cap=4.0 * GB,
-                fs_bw_cap=2.4 * GB,
-                upgraded_fs_bw_cap=3.8 * GB,
-            ),
-        ),
-        n_namespaces=2,
-        oss=OssSpec(node_bw_cap=5.0 * GB, n_osts=7),
-        fabric=FabricSpec(n_leaf_switches=4, n_core_switches=2),
-        torus=TorusSpec(dims=(5, 4, 6)),
-        placement=PlacementSpec(n_modules=6, routers_per_module=4,
-                                n_leaves=4),
-        n_compute_nodes=128,
-    )
-    return SpiderSystem(spec, seed=_SEED, build_clients=False)
-
-
 def _storm_mini_spec() -> SpiderSpec:
     """The mini system in the scarce-row-bandwidth regime the A19 study
     (and the ``spider-repro storm`` CLI) runs in."""
-    base = _mini_system().spec
+    base = mini_spec()
     return replace(base, torus=replace(base.torus, link_bw=0.5 * GB))
 
 
@@ -126,7 +95,7 @@ def _timed_arms():
     soaks up warm-up and frequency-scaling drift as fake overhead, while
     a paired median is centered on the intrinsic cost ratio and a single
     loaded pair cannot move it."""
-    system = _mini_system()
+    system = SpiderSystem(mini_spec(), seed=_SEED, build_clients=False)
     jobs = generate_jobs(
         JobMix().scaled(_RATE_SCALE),
         duration=_WINDOW,

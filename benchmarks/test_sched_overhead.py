@@ -8,7 +8,7 @@ solver down (see ``docs/PERFORMANCE.md``):
 
 * a jobs/s floor — the delta re-solve path must stay the fast path;
 * a full-resolve ceiling — once warm, every re-solve must ride the
-  delta/short-circuit/cached paths, never a from-scratch rebuild.
+  delta/cached paths, never a from-scratch rebuild.
 
 Results land in ``BENCH_sched.json`` at the repo root.
 """
@@ -19,16 +19,10 @@ import json
 import pathlib
 import time
 
-from repro.core.placement import PlacementSpec
-from repro.core.spider import SpiderSpec, SpiderSystem
-from repro.hardware.controller import ControllerSpec
-from repro.hardware.disk import DiskSpec
-from repro.hardware.ssu import SsuSpec
-from repro.lustre.oss import OssSpec
-from repro.network.infiniband import FabricSpec
-from repro.network.torus import TorusSpec
+from repro.core.spider import SpiderSystem
 from repro.sched import FacilityScheduler, JobMix, QosPolicy, generate_jobs
-from repro.units import GB, HOUR
+from repro.units import HOUR
+from tests.conftest import mini_spec
 
 BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_sched.json"
 
@@ -55,38 +49,13 @@ _TRIALS = 5
 _JOBS_PER_S_FLOOR = 1_500.0
 
 #: regression ceiling on from-scratch solves.  The first allocation after
-#: a fresh arbiter is necessarily full; everything after must be a delta,
-#: short-circuit, or cached re-solve.
+#: a fresh arbiter is necessarily full; everything after must be a delta
+#: or cached re-solve.
 _MAX_FULL_RESOLVES = 2
 
 
-def _mini_system() -> SpiderSystem:
-    spec = SpiderSpec(
-        name="mini",
-        n_ssus=4,
-        ssu=SsuSpec(
-            n_enclosures=10,
-            disks_per_enclosure=7,
-            disk=DiskSpec(),
-            controller=ControllerSpec(
-                block_bw_cap=4.0 * GB,
-                fs_bw_cap=2.4 * GB,
-                upgraded_fs_bw_cap=3.8 * GB,
-            ),
-        ),
-        n_namespaces=2,
-        oss=OssSpec(node_bw_cap=5.0 * GB, n_osts=7),
-        fabric=FabricSpec(n_leaf_switches=4, n_core_switches=2),
-        torus=TorusSpec(dims=(5, 4, 6)),
-        placement=PlacementSpec(n_modules=6, routers_per_module=4,
-                                n_leaves=4),
-        n_compute_nodes=128,
-    )
-    return SpiderSystem(spec, seed=_SEED, build_clients=False)
-
-
 def test_sched_thousand_job_day_within_budget(report):
-    system = _mini_system()
+    system = SpiderSystem(mini_spec(), seed=_SEED, build_clients=False)
     jobs = generate_jobs(
         JobMix().scaled(_RATE_SCALE),
         duration=_WINDOW,

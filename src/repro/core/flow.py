@@ -39,10 +39,9 @@ under the comp<->flow incidence relation.  By construction no flow outside
 the closure crosses a component inside it, so the closure is an independent
 subproblem of the global max-min allocation (which is unique and decomposes
 over disconnected regions) — frozen rates elsewhere are reused verbatim.
-When no component in the closure can saturate (every finite demand sum sits
-strictly under capacity and no unbounded-demand flow crosses it), the
-analytic short-circuit applies: rates follow directly from demands, no
-filling at all.  The four resolve paths are counted in
+A dirty component crossed by every flow (a shared backbone) makes the
+closure the whole network, so such a delta re-fills everything.  The three
+resolve paths (``full``, ``delta``, ``cached``) are counted in
 :attr:`FlowNetwork.solve_counts` and, when telemetry is enabled, in the
 :data:`RESOLVE_COUNTERS` telemetry counters.  The cost model for each path
 is documented in ``docs/PERFORMANCE.md``.
@@ -78,11 +77,6 @@ __all__ = ["FlowNetwork", "FlowResult", "Epoch", "RESOLVE_COUNTERS"]
 
 _EPS = 1e-9
 
-#: relative headroom a closure component must keep for the analytic
-#: short-circuit — strict, so a demand sum sitting exactly at capacity
-#: still goes through progressive filling like a scratch solve would
-_SHORTCIRCUIT_MARGIN = 1e-9
-
 #: subproblems with at most this many (flow, component) incidences run on
 #: the scalar kernel, whose python-loop constants beat numpy call overhead
 #: by roughly an order of magnitude at this size
@@ -90,12 +84,11 @@ _SCALAR_NNZ_MAX = 1024
 
 #: telemetry counter emitted per solve, keyed by the resolve path taken
 #: (``full`` = from-scratch fill, ``delta`` = dirty-closure re-fill,
-#: ``shortcircuit`` = analytic uncongested path, ``cached`` = no dirty
-#: state, the previous result is returned)
+#: ``cached`` = no dirty state, the previous result is returned); the
+#: suffixes are the keys of :attr:`FlowNetwork.solve_counts`
 RESOLVE_COUNTERS = (
     "flow.resolve.full",
     "flow.resolve.delta",
-    "flow.resolve.shortcircuit",
     "flow.resolve.cached",
 )
 
@@ -111,8 +104,8 @@ class FlowResult:
     component to its capacity; on an incremental solve it carries the
     merged view (components saturated by earlier solves and still binding,
     plus the ones the re-filled region saturated), and ``rounds`` /
-    ``saturation_order`` describe the *last* fill only (a short-circuited
-    or cached solve reports its inherited order and ``rounds=0``).
+    ``saturation_order`` describe the *last* fill only (a cached solve
+    reports the previous fill's).
     """
 
     __slots__ = (
@@ -211,6 +204,31 @@ def _grown(buf: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _csr(
+    paths: list[tuple[int, ...]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR incidence of ``paths`` (flow -> component ids) for
+    :func:`_fill_vector`: ``(indptr, indices, flow_of_entry)``."""
+    n = len(paths)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices: list[int] = []
+    for i, path in enumerate(paths):
+        indices.extend(path)
+        indptr[i + 1] = len(indices)
+    flow_of_entry = np.repeat(np.arange(n), np.diff(indptr))
+    return indptr, np.array(indices, dtype=np.int64), flow_of_entry
+
+
+def _levels(demand: float, weight: float) -> tuple[float, float]:
+    """Fill levels of a flow with demand above :data:`_EPS`: where it
+    reaches its demand and the eps-slackened level at which it freezes
+    (both infinite for unbounded demand)."""
+    if not math.isfinite(demand):
+        return math.inf, math.inf
+    slack = _EPS * (demand if demand > 1.0 else 1.0)
+    return demand / weight, (demand - slack) / weight
+
+
 def _fill_scalar(
     caps: list[float],
     paths: list[tuple[int, ...]],
@@ -250,6 +268,7 @@ def _fill_scalar(
     rates = [0.0] * n
     frozen = [False] * n
     residual = list(caps)
+    n_active = n
 
     # Every flow starts filling at level 0, so an active flow always sits
     # at ``rate = weight * level`` where ``level`` is the cumulative fill.
@@ -259,7 +278,6 @@ def _fill_scalar(
     if pre is not None:
         comp_w0, step_level, edge_level = pre
         comp_w = list(comp_w0)
-        n_active = n
     else:
         comp_w = [0.0] * m
         for i, path in enumerate(paths):
@@ -268,7 +286,6 @@ def _fill_scalar(
                 comp_w[c] += w
         step_level = [inf] * n  # level where the flow reaches its demand
         edge_level = [inf] * n  # eps-slackened level at which it freezes
-        n_active = n
         prefix_ok = True
         for i in range(n):
             d = demands[i]
@@ -285,9 +302,7 @@ def _fill_scalar(
             elif d < inf:
                 if d <= 1.0:
                     prefix_ok = False
-                w = weights[i]
-                step_level[i] = d / w
-                edge_level[i] = (d - _EPS * (d if d > 1.0 else 1.0)) / w
+                step_level[i], edge_level[i] = _levels(d, weights[i])
     if order is None:
         order = sorted(range(n), key=step_level.__getitem__)
     sat_order: list[int] = []
@@ -511,11 +526,6 @@ class FlowNetwork:
         self._caps_list: list[float] = []
         self._load = np.empty(16)
         self._comp_flows: list[set[str]] = []
-        #: per-component sum of finite member demands / count of
-        #: infinite-demand members, maintained incrementally for the
-        #: short-circuit feasibility check
-        self._demand_load: list[float] = []
-        self._inf_count: list[int] = []
         # flows (dict order == slot order of the parallel buffers).  The
         # python-list mirrors of demands/weights/paths feed the scalar
         # kernel without per-solve tolist conversions; the numpy buffers
@@ -561,11 +571,12 @@ class FlowNetwork:
         self._last_rounds = 0
         self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._result_cache: FlowResult | None = None
-        #: cumulative count of solves by resolve path (``full`` /
-        #: ``delta`` / ``shortcircuit`` / ``cached``), independent of
-        #: telemetry — the benchmark regression gate reads this
-        self.solve_counts: dict[str, int] = {
-            "full": 0, "delta": 0, "shortcircuit": 0, "cached": 0}
+        #: cumulative count of solves by resolve path (the
+        #: :data:`RESOLVE_COUNTERS` suffixes ``full`` / ``delta`` /
+        #: ``cached``), independent of telemetry — the benchmark
+        #: regression gate reads this
+        self.solve_counts: dict[str, int] = dict.fromkeys(
+            (counter.rpartition(".")[2] for counter in RESOLVE_COUNTERS), 0)
 
     # -- construction and delta operations ----------------------------------------
 
@@ -589,8 +600,6 @@ class FlowNetwork:
         self._caps_list.append(float(capacity))
         self._load[i] = 0.0
         self._comp_flows.append(set())
-        self._demand_load.append(0.0)
-        self._inf_count.append(0)
         self._comp_w.append(0.0)
         self._comp_nf.append(0)
         self._result_cache = None
@@ -669,38 +678,26 @@ class FlowNetwork:
         # arithmetic operation for operation).
         if demand <= _EPS or not path_ids:
             self._n_irregular += 1
-            self._step_lvl.append(math.inf)
-            self._edge_lvl.append(math.inf)
+            step = edge = math.inf
         else:
-            if math.isfinite(demand):
-                if demand <= 1.0:
-                    self._n_small += 1
-                self._step_lvl.append(demand / weight)
-                self._edge_lvl.append(
-                    (demand - _EPS * (demand if demand > 1.0 else 1.0))
-                    / weight)
-            else:
-                self._step_lvl.append(math.inf)
-                self._edge_lvl.append(math.inf)
+            if demand <= 1.0:
+                self._n_small += 1
+            step, edge = _levels(demand, weight)
             comp_w = self._comp_w
             for c in path_ids:
                 comp_w[c] += weight
+        self._step_lvl.append(step)
+        self._edge_lvl.append(edge)
         key = demand / weight
         pos = bisect_right(self._order_keys, key)
         self._order_keys.insert(pos, key)
         self._order.insert(pos, i)
         self._nnz += len(path_ids)
-        finite = math.isfinite(demand)
-        dirty = self._dirty
         comp_nf = self._comp_nf
         for c in path_ids:
             self._comp_flows[c].add(name)
             comp_nf[c] += 1
-            if finite:
-                self._demand_load[c] += demand
-            else:
-                self._inf_count[c] += 1
-            dirty.add(c)
+        self._dirty.update(path_ids)
         self._csr = None
         self._result_cache = None
 
@@ -745,17 +742,11 @@ class FlowNetwork:
             if v > i:
                 order[k] = v - 1
         self._nnz -= len(rec.path)
-        finite = math.isfinite(demand)
-        dirty = self._dirty
         comp_nf = self._comp_nf
         for c in rec.path:
             self._comp_flows[c].discard(name)
             comp_nf[c] -= 1
-            if finite:
-                self._demand_load[c] -= demand
-            else:
-                self._inf_count[c] -= 1
-            dirty.add(c)
+        self._dirty.update(rec.path)
         self._csr = None
         self._result_cache = None
 
@@ -796,13 +787,10 @@ class FlowNetwork:
                 self._n_irregular += 1
                 for c in rec.path:
                     comp_w[c] -= weight
-        if new_regular and math.isfinite(demand):
-            self._step_lvl[i] = demand / weight
-            self._edge_lvl[i] = (
-                (demand - _EPS * (demand if demand > 1.0 else 1.0)) / weight)
+        if new_regular:
+            self._step_lvl[i], self._edge_lvl[i] = _levels(demand, weight)
         else:
-            self._step_lvl[i] = math.inf
-            self._edge_lvl[i] = math.inf
+            self._step_lvl[i] = self._edge_lvl[i] = math.inf
         # Reposition the flow in the maintained demand/weight sort.
         order = self._order
         keys = self._order_keys
@@ -813,21 +801,9 @@ class FlowNetwork:
         pos = bisect_right(keys, key)
         keys.insert(pos, key)
         order.insert(pos, i)
-        old_finite = math.isfinite(old)
-        new_finite = math.isfinite(demand)
-        dirty = self._dirty
-        for c in rec.path:
-            if old_finite:
-                self._demand_load[c] -= old
-            else:
-                self._inf_count[c] -= 1
-            if new_finite:
-                self._demand_load[c] += demand
-            else:
-                self._inf_count[c] += 1
-            dirty.add(c)
+        self._dirty.update(rec.path)
         if not rec.path:
-            self._rates[rec.idx] = demand
+            self._rates[i] = demand
         self._result_cache = None
 
     def demand_of(self, name: str) -> float:
@@ -871,20 +847,12 @@ class FlowNetwork:
         """Weighted max-min allocation by (incremental) progressive filling.
 
         Dispatches on the solver state: ``full`` when no previous solution
-        exists, ``cached`` when nothing changed since the last solve,
-        ``shortcircuit`` when no dirty-closure component can saturate, and
-        ``delta`` (a re-fill restricted to the closure) otherwise.
+        exists, ``cached`` when nothing changed since the last solve, and
+        ``delta`` otherwise — a re-fill of the connected dirty region,
+        which is the whole network when a dirty component is crossed by
+        every flow.
         """
-        if not self._has_solution:
-            self._last_rounds = self._solve_entire()
-            path = "full"
-        elif self._dirty:
-            path, self._last_rounds = self._solve_delta()
-        else:
-            path = "cached"
-        self._dirty.clear()
-        self._has_solution = True
-        self.solve_counts[path] += 1
+        path = self._resolve()
         result = self._result_cache
         if result is None:
             result = self._result_cache = self._build_result()
@@ -905,63 +873,74 @@ class FlowNetwork:
         """
         if get_telemetry().enabled:
             return self.solve().rates
+        self._resolve()
+        return self._rates[:len(self._flows)].copy()
+
+    def _resolve(self) -> str:
+        """Bring the rates up to date; counts and returns the path taken."""
         if not self._has_solution:
-            self._last_rounds = self._solve_entire()
             path = "full"
+            self._last_rounds = self._solve_entire()
         elif self._dirty:
-            path, self._last_rounds = self._solve_delta()
+            path = "delta"
+            self._last_rounds = self._solve_delta()
         else:
             path = "cached"
         self._dirty.clear()
         self._has_solution = True
         self.solve_counts[path] += 1
-        return self._rates[:len(self._flows)].copy()
+        return path
+
+    def _fill(
+        self,
+        flows: slice | np.ndarray,
+        comps: slice | np.ndarray,
+        nnz: int,
+        scalar_args: tuple,
+        csr: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    ) -> tuple[list[int], int]:
+        """Fill one subproblem on the kernel its ``nnz`` selects.
+
+        ``flows``/``comps`` select its solver-buffer slots (slices for the
+        whole network, index arrays for a region); ``scalar_args`` are the
+        :func:`_fill_scalar` arguments, and ``csr`` builds the vector
+        kernel's incidence only when that kernel runs.  Writes the rates
+        (and vector-kernel loads) back; returns ``(saturation order as
+        local comp ids, rounds)``.
+        """
+        if nnz <= _SCALAR_NNZ_MAX:
+            rates, sat, rounds = _fill_scalar(*scalar_args)
+            self._load_valid = False
+        else:
+            rates, load, sat, rounds = _fill_vector(
+                self._caps[comps], self._demands[flows], self._weights[flows],
+                *csr())
+            self._load[comps] = load
+        self._rates[flows] = rates
+        return sat, rounds
 
     def _solve_entire(self) -> int:
         """From-scratch fill over every component and flow; returns rounds."""
-        n = len(self._flows)
-        m = len(self._comp_names)
-        if n == 0:
-            self._load[:m] = 0.0
-            self._load_valid = True
-            self._bottlenecks = {}
-            return 0
-        if self._nnz <= _SCALAR_NNZ_MAX:
-            pre = ((self._comp_w, self._step_lvl, self._edge_lvl)
-                   if self._n_irregular == 0 else None)
-            rates, sat, rounds = _fill_scalar(
-                self._caps_list, self._paths_list,
-                self._demands_list, self._weights_list, pre,
-                self._comp_nf, self._order, self._n_small == 0)
-            self._rates[:n] = rates
-            self._load_valid = False
-        else:
-            indptr, indices, flow_of_entry = self._csr_incidence()
-            rates, load, sat, rounds = _fill_vector(
-                self._caps[:m], self._demands[:n], self._weights[:n],
-                indptr, indices, flow_of_entry)
-            self._rates[:n] = rates
-            self._load[:m] = load
-            self._load_valid = True
+        pre = ((self._comp_w, self._step_lvl, self._edge_lvl)
+               if self._n_irregular == 0 else None)
+        # The vector kernel rewrites every load; the scalar one defers.
+        self._load_valid = True
+        sat, rounds = self._fill(
+            slice(0, len(self._flows)), slice(0, len(self._comp_names)),
+            self._nnz,
+            (self._caps_list, self._paths_list, self._demands_list,
+             self._weights_list, pre, self._comp_nf, self._order,
+             self._n_small == 0),
+            self._csr_incidence)
         names = self._comp_names
-        caps = self._caps
-        self._bottlenecks = {names[c]: float(caps[c]) for c in sat}
+        caps = self._caps_list
+        self._bottlenecks = {names[c]: caps[c] for c in sat}
         return rounds
 
-    def _csr_incidence(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR incidence (flow -> component ids), cached across solves."""
+    def _csr_incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR incidence of the whole network, cached across solves."""
         if self._csr is None:
-            n = len(self._flows)
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            indices_list: list[int] = []
-            for i, path in enumerate(self._paths_list):
-                indices_list.extend(path)
-                indptr[i + 1] = len(indices_list)
-            indices = np.array(indices_list, dtype=np.int64)
-            flow_of_entry = np.repeat(np.arange(n), np.diff(indptr))
-            self._csr = (indptr, indices, flow_of_entry)
+            self._csr = _csr(self._paths_list)
         return self._csr
 
     def _closure(self) -> tuple[set[int], set[str], bool]:
@@ -992,8 +971,8 @@ class FlowNetwork:
                             stack.append(fc)
         return comps, flows, False
 
-    def _solve_delta(self) -> tuple[str, int]:
-        """Re-solve only the connected dirty region; returns (path, rounds).
+    def _solve_delta(self) -> int:
+        """Re-solve only the connected dirty region; returns rounds.
 
         Correctness: by closure construction no flow outside the region
         crosses a component inside it, so the region is an independent
@@ -1007,73 +986,34 @@ class FlowNetwork:
         comp_nf = self._comp_nf
         for c in self._dirty:
             if comp_nf[c] == n_flows:
-                return "delta", self._solve_entire()
+                return self._solve_entire()
         comps, flow_names, entire = self._closure()
         if entire:
-            return "delta", self._solve_entire()
-        # Analytic short-circuit: if no closure component can saturate
-        # (finite demands strictly under capacity, no unbounded flows),
-        # rates follow directly from demands.
-        caps = self._caps
-        demand_load = self._demand_load
-        inf_count = self._inf_count
-        if all(inf_count[c] == 0
-               and demand_load[c] < caps[c] * (1.0 - _SHORTCIRCUIT_MARGIN)
-               for c in comps):
-            flows = self._flows
-            demands = self._demands
-            rates = self._rates
-            for fname in flow_names:
-                i = flows[fname].idx
-                rates[i] = demands[i]
-            for c in comps:
-                self._load[c] = demand_load[c]
-                self._bottlenecks.pop(self._comp_names[c], None)
-            return "shortcircuit", 0
+            return self._solve_entire()
         # Restricted re-fill over the closure, at full capacities (no flow
         # outside the closure consumes them).
         flows = self._flows
-        order = sorted(flow_names, key=lambda fname: flows[fname].idx)
+        slots = sorted(flows[fname].idx for fname in flow_names)
         comp_list = sorted(comps)
         local = {c: k for k, c in enumerate(comp_list)}
-        idx = np.array([flows[fname].idx for fname in order], dtype=np.int64)
-        paths = [tuple(local[c] for c in flows[fname].path)
-                 for fname in order]
-        nnz = sum(len(p) for p in paths)
-        caps_local = self._caps[np.array(comp_list, dtype=np.int64)]
-        if nnz <= _SCALAR_NNZ_MAX:
-            sub_demands = self._demands[idx]
-            sub_weights = self._weights[idx]
-            sub_order = np.argsort(sub_demands / sub_weights,
-                                   kind="stable").tolist()
-            rates, sat, rounds = _fill_scalar(
-                caps_local.tolist(), paths,
-                sub_demands.tolist(), sub_weights.tolist(),
-                order=sub_order)
-            self._rates[idx] = rates
-            self._load_valid = False
-        else:
-            n_sub = len(order)
-            indptr = np.zeros(n_sub + 1, dtype=np.int64)
-            indices_list: list[int] = []
-            for i, p in enumerate(paths):
-                indices_list.extend(p)
-                indptr[i + 1] = len(indices_list)
-            indices = np.array(indices_list, dtype=np.int64)
-            flow_of_entry = np.repeat(np.arange(n_sub), np.diff(indptr))
-            rates, load, sat, rounds = _fill_vector(
-                caps_local, self._demands[idx], self._weights[idx],
-                indptr, indices, flow_of_entry)
-            self._rates[idx] = rates
-            for k, c in enumerate(comp_list):
-                self._load[c] = load[k]
+        paths = [tuple(local[c] for c in self._paths_list[i]) for i in slots]
+        idx = np.array(slots, dtype=np.int64)
+        comp_idx = np.array(comp_list, dtype=np.int64)
+        demands = self._demands[idx]
+        weights = self._weights[idx]
+        order = np.argsort(demands / weights, kind="stable").tolist()
+        sat, rounds = self._fill(
+            idx, comp_idx, sum(map(len, paths)),
+            (self._caps[comp_idx].tolist(), paths, demands.tolist(),
+             weights.tolist(), None, None, order),
+            lambda: _csr(paths))
         names = self._comp_names
         for c in comp_list:
             self._bottlenecks.pop(names[c], None)
         for k in sat:
             c = comp_list[k]
-            self._bottlenecks[names[c]] = float(caps[c])
-        return "delta", rounds
+            self._bottlenecks[names[c]] = self._caps_list[c]
+        return rounds
 
     def _build_result(self) -> FlowResult:
         """Snapshot the solver state into an immutable :class:`FlowResult`."""
@@ -1211,14 +1151,8 @@ class Epoch:
     def request(self, label: str) -> None:
         """Ask for a flush, carrying ``label`` into the batched flush label."""
         self._labels.append(label)
-        if self._held > 0 or self._armed:
-            return
-        if self._engine is not None:
-            self._armed = True
-            self._engine.call_at(self._engine.now, self._fire,
-                                 priority=self._priority)
-        else:
-            self._fire()
+        if self._held == 0:
+            self._arm()
 
     def __enter__(self) -> "Epoch":
         self._held += 1
@@ -1226,13 +1160,19 @@ class Epoch:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._held -= 1
-        if self._held == 0 and self._labels and not self._armed:
-            if self._engine is not None:
-                self._armed = True
-                self._engine.call_at(self._engine.now, self._fire,
-                                     priority=self._priority)
-            else:
-                self._fire()
+        if self._held == 0 and self._labels:
+            self._arm()
+
+    def _arm(self) -> None:
+        """Flush now, or at the end of the tick when an engine is attached."""
+        if self._armed:
+            return
+        if self._engine is None:
+            self._fire()
+            return
+        self._armed = True
+        self._engine.call_at(self._engine.now, self._fire,
+                             priority=self._priority)
 
     def _fire(self) -> None:
         """Run the flush with the batched label (engine event target)."""
@@ -1240,10 +1180,7 @@ class Epoch:
         if not self._labels:
             return
         labels, self._labels = self._labels, []
-        if len(labels) == 1:
-            label = labels[0]
-        else:
-            label = "+".join(dict.fromkeys(labels))
+        label = "+".join(dict.fromkeys(labels))
         self.flushes += 1
         tracer = get_tracer()
         if not tracer.enabled:

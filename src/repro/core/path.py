@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.flow import FlowNetwork, FlowResult
+from repro.core.flow import RESOLVE_COUNTERS, FlowNetwork, FlowResult
 from repro.core.spider import SpiderSystem
 from repro.lustre.client import Client
 from repro.network.lnet import FineGrainedRouting, RoutingPolicy, record_routed_bytes
@@ -92,8 +92,8 @@ class PathBuilder:
         # solve counts of networks this builder has retired; rebuilds swap
         # in a fresh FlowNetwork, so the property below folds these in to
         # stay cumulative across the builder's lifetime
-        self._solve_counts_base = {
-            "full": 0, "delta": 0, "shortcircuit": 0, "cached": 0}
+        self._solve_counts_base = dict.fromkeys(
+            (counter.rpartition(".")[2] for counter in RESOLVE_COUNTERS), 0)
 
     # -- component registration ---------------------------------------------------
 
@@ -214,8 +214,8 @@ class PathBuilder:
         fault campaign's probe streams): the first call builds the
         network from scratch; later calls reuse it, pushing the current
         layer capacities as delta operations so the incremental solver
-        re-fills only the connected dirty region (or short-circuits —
-        see ``docs/PERFORMANCE.md``).
+        re-fills only the connected dirty region, or returns the cached
+        allocation when no capacity moved (see ``docs/PERFORMANCE.md``).
 
         Routing is fingerprinted on the *policy*
         (:meth:`~repro.network.lnet.RoutingPolicy.fingerprint`) — by

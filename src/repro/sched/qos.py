@@ -169,7 +169,9 @@ class BandwidthArbiter:
 
     @property
     def solve_counts(self) -> dict[str, int]:
-        """Cumulative solve counts by resolve path (see ``FlowNetwork``)."""
+        """Cumulative solve counts by resolve path: ``full`` / ``delta`` /
+        ``cached``, the :data:`~repro.core.flow.RESOLVE_COUNTERS`
+        suffixes."""
         return self._net.solve_counts
 
     @property

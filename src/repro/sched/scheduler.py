@@ -619,8 +619,9 @@ class FacilityScheduler:
         """Cumulative arbiter re-solve counts by resolve path.
 
         Keys are the :data:`~repro.core.flow.RESOLVE_COUNTERS` suffixes
-        (``full`` / ``delta`` / ``shortcircuit`` / ``cached``); the
-        benchmark regression gate asserts a ceiling on ``full`` — see
+        (``full`` / ``delta`` / ``cached``).  Every arbiter flow crosses
+        the shared backbone, so each ``delta`` re-fills the whole network.
+        The benchmark regression gate asserts a ceiling on ``full`` — see
         ``docs/PERFORMANCE.md``.
         """
         return self._arbiter.solve_counts

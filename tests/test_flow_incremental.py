@@ -6,7 +6,8 @@ The contract under test (DESIGN.md §9, docs/PERFORMANCE.md): a
 allocates the same rates as a network built from scratch in the current
 state — within 1e-9 relative, the float-associativity slack between the
 two fill orders.  Plus the :class:`Epoch` batching contract: permuting
-the changes inside one batch cannot change the solved rates.
+the changes inside one batch cannot change the solved rates, and the
+hot-loop :meth:`FlowNetwork.solve_rates` agreeing with :meth:`solve`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.flow import Epoch, FlowNetwork
+from repro.core import flow
+from repro.core.flow import RESOLVE_COUNTERS, Epoch, FlowNetwork
+from repro.obs.instruments import Telemetry, use_telemetry
 
 #: relative tolerance between delta and scratch rates: the two solvers
 #: may freeze flows in different orders, so sums associate differently
@@ -50,44 +53,78 @@ def _random_path(rng, comps):
     return list(rng.choice(comps, size=k, replace=False))
 
 
+def _random_networks(rng, count=1):
+    """``count`` identical six-component networks (some uncapped)."""
+    comps = [f"c{i}" for i in range(6)]
+    nets = [FlowNetwork() for _ in range(count)]
+    for name in comps:
+        cap = math.inf if rng.random() < 0.2 else float(rng.uniform(0.5, 50.0))
+        for net in nets:
+            net.add_component(name, cap)
+    return comps, nets
+
+
+def _random_delta(rng, nets, comps, step):
+    """Apply one random delta operation to every network in ``nets`` (all
+    in the same state), picking its target from the first."""
+    op = rng.random()
+    flows = nets[0].flow_names()
+    if op < 0.4 or not flows:
+        demand = (math.inf if rng.random() < 0.2
+                  else float(rng.uniform(0.01, 30.0)))
+        method, args = "add_flow", (f"f{step}", _random_path(rng, comps),
+                                    demand, float(rng.uniform(0.5, 2.0)))
+    elif op < 0.6:
+        method, args = "remove_flow", (flows[int(rng.integers(len(flows)))],)
+    elif op < 0.8:
+        cap = (math.inf if rng.random() < 0.2
+               else float(rng.uniform(0.5, 50.0)))
+        method, args = "set_capacity", (comps[int(rng.integers(len(comps)))],
+                                        cap)
+    else:
+        method, args = "set_demand", (flows[int(rng.integers(len(flows)))],
+                                      float(rng.uniform(0.01, 30.0)))
+    for net in nets:
+        getattr(net, method)(*args)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5, 6, 7])
 def test_random_delta_sequence_matches_scratch(seed):
     """Property test: random op sequences, delta rates == scratch rates."""
     rng = np.random.default_rng(seed)
-    comps = [f"c{i}" for i in range(6)]
-    net = FlowNetwork()
-    for name in comps:
-        cap = math.inf if rng.random() < 0.2 else float(rng.uniform(0.5, 50.0))
-        net.add_component(name, cap)
-
-    counter = 0
+    comps, (net,) = _random_networks(rng)
     for step in range(40):
-        op = rng.random()
-        flows = net.flow_names()
-        if op < 0.4 or not flows:
-            counter += 1
-            demand = (math.inf if rng.random() < 0.2
-                      else float(rng.uniform(0.01, 30.0)))
-            net.add_flow(f"f{counter}", _random_path(rng, comps),
-                         demand=demand,
-                         weight=float(rng.uniform(0.5, 2.0)))
-        elif op < 0.6:
-            net.remove_flow(flows[int(rng.integers(len(flows)))])
-        elif op < 0.8:
-            cap = (math.inf if rng.random() < 0.2
-                   else float(rng.uniform(0.5, 50.0)))
-            net.set_capacity(comps[int(rng.integers(len(comps)))], cap)
-        else:
-            name = flows[int(rng.integers(len(flows)))]
-            path, _demand, _weight = net.flow_spec(name)
-            demand = (float(rng.uniform(0.01, 30.0)) if path
-                      else float(rng.uniform(0.01, 30.0)))
-            net.set_demand(name, demand)
+        _random_delta(rng, [net], comps, step)
         _assert_rates_match(net.solve(), _scratch_clone(net).solve())
 
     counts = net.solve_counts
     assert counts["full"] >= 1
-    assert counts["delta"] + counts["shortcircuit"] + counts["cached"] > 0
+    assert counts["delta"] + counts["cached"] > 0
+
+
+@pytest.mark.parametrize("scalar_nnz_max", [flow._SCALAR_NNZ_MAX, 0])
+@pytest.mark.parametrize("telemetry_on", [False, True])
+def test_solve_rates_matches_solve(telemetry_on, scalar_nnz_max, monkeypatch):
+    """``solve_rates()`` and ``solve()`` share one dispatch: over one random
+    op sequence they return identical rates and count identical resolve
+    paths — on either kernel, with telemetry off or on."""
+    monkeypatch.setattr(flow, "_SCALAR_NNZ_MAX", scalar_nnz_max)
+    rng = np.random.default_rng(20)
+    comps, (by_result, by_rates) = _random_networks(rng, count=2)
+    telemetry = Telemetry(enabled=telemetry_on)
+    with use_telemetry(telemetry):
+        for step in range(60):
+            if rng.random() < 0.8:  # otherwise re-solve: the cached path
+                _random_delta(rng, [by_result, by_rates], comps, step)
+            want = by_result.solve().rates
+            assert np.array_equal(by_rates.solve_rates(), want)
+            assert by_rates.solve_counts == by_result.solve_counts
+    counts = by_rates.solve_counts
+    assert min(counts.values()) > 0  # every resolve path was taken
+    for counter in RESOLVE_COUNTERS:
+        # both networks count into the one registry
+        expected = 2 * counts[counter.rpartition(".")[2]] if telemetry_on else 0
+        assert telemetry.counter(counter).value == expected
 
 
 @pytest.mark.parametrize("seed", [10, 11, 12])
@@ -194,13 +231,12 @@ def test_solve_counts_classify_the_resolve_paths():
     net.add_flow("f0", ["shared"], demand=8.0)
     net.add_flow("f1", ["spare"], demand=2.0)
     net.solve()
-    assert net.solve_counts["full"] == 1
+    assert net.solve_counts == {"full": 1, "delta": 0, "cached": 0}
     net.solve()  # nothing dirty
     assert net.solve_counts["cached"] == 1
-    net.set_capacity("spare", 90.0)  # slack region: analytic short-circuit
-    net.solve()
-    assert net.solve_counts["shortcircuit"] == 1
-    net.set_capacity("shared", 6.0)  # contended region: restricted re-fill
-    net.solve()
-    assert net.solve_counts["delta"] == 1
+    net.set_capacity("spare", 90.0)  # slack region: restricted re-fill
     _assert_rates_match(net.solve(), _scratch_clone(net).solve())
+    assert net.solve_counts["delta"] == 1
+    net.set_capacity("shared", 6.0)  # contended region: restricted re-fill
+    _assert_rates_match(net.solve(), _scratch_clone(net).solve())
+    assert net.solve_counts == {"full": 1, "delta": 2, "cached": 1}
