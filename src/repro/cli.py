@@ -353,16 +353,51 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from repro.analysis.reporting import render_kv, render_table
-    from repro.core.spider import build_spider1, build_spider2
+def _fault_plan(args):
+    """``(plan_factory, duration)`` for --scenario: the scripted cases run
+    to their own horizon; the rest draw --faults over --duration."""
     from repro.faults import (
-        FaultCampaign,
         FaultPlan,
         cable_failure_scenario,
         incident_2010_scenario,
     )
 
+    if args.faults < 0:
+        raise CliError("--faults must be non-negative")
+    if args.duration <= 0:
+        raise CliError("--duration must be positive")
+    if args.scenario == "cable":
+        return cable_failure_scenario, None
+    if args.scenario == "incident2010":
+        return incident_2010_scenario, None
+
+    def plan_factory(system):
+        return FaultPlan.random(system, duration=args.duration,
+                                n_faults=args.faults, seed=args.seed)
+
+    return plan_factory, args.duration
+
+
+def _print_remediation(outcome, title: str) -> None:
+    """The closed-loop summary plus its per-class MTTD/MTTR table."""
+    from repro.analysis.reporting import render_kv, render_table
+
+    print()
+    print(render_kv(outcome.rows(), title=title))
+    if outcome.by_class:
+        print()
+        print(render_table(
+            ["fault class", "remediated", "mean MTTD", "mean MTTR"],
+            outcome.class_rows(),
+            title="MTTD/MTTR decomposition per fault class"))
+
+
+def _cmd_chaos(args) -> int:
+    from repro.analysis.reporting import render_kv, render_table
+    from repro.core.spider import build_spider1, build_spider2
+    from repro.faults import FaultCampaign
+
+    plan_factory, duration = _fault_plan(args)
     # The 2010 incident needs the five-enclosure Spider I geometry to
     # reproduce the RAID-tolerance breach; the other scenarios run on
     # Spider II.
@@ -374,16 +409,9 @@ def _cmd_chaos(args) -> int:
 
         remediation = RemediationPolicy(seed=args.seed)
     with _tracing(args.trace):
-        if args.scenario == "random":
-            plan = FaultPlan.random(system, duration=args.duration,
-                                    n_faults=args.faults, seed=args.seed)
-        elif args.scenario == "cable":
-            plan = cable_failure_scenario(system)
-        else:
-            plan = incident_2010_scenario(system)
         campaign = FaultCampaign(
-            system, plan,
-            duration=args.duration if args.scenario == "random" else None,
+            system, plan_factory(system),
+            duration=duration,
             threshold=args.threshold,
             remediation=remediation)
         result = campaign.run()
@@ -414,15 +442,8 @@ def _cmd_chaos(args) -> int:
                  for cls, n, mean in result.recovery_stats],
                 title="Recovery time per fault class"))
         if result.remediation is not None:
-            print()
-            print(render_kv(result.remediation.rows(),
-                            title="Closed-loop remediation"))
-            if result.remediation.by_class:
-                print()
-                print(render_table(
-                    ["fault class", "remediated", "mean MTTD", "mean MTTR"],
-                    result.remediation.class_rows(),
-                    title="MTTD/MTTR decomposition per fault class"))
+            _print_remediation(result.remediation,
+                               "Closed-loop remediation")
         print()
         print(render_table(
             ["classification", "incidents"],
@@ -434,20 +455,10 @@ def _cmd_chaos(args) -> int:
 def _cmd_resilience(args) -> int:
     from repro.analysis.reporting import render_kv, render_table
     from repro.core.spider import build_spider2
-    from repro.faults import FaultPlan, cable_failure_scenario
     from repro.resilience import run_paired_study
 
     seed = args.seed
-    if args.scenario == "cable":
-        plan_factory = cable_failure_scenario
-        duration = None
-    else:
-        duration = args.duration
-
-        def plan_factory(system):
-            return FaultPlan.random(system, duration=args.duration,
-                                    n_faults=args.faults, seed=seed)
-
+    plan_factory, duration = _fault_plan(args)
     with _tracing(args.trace):
         result = run_paired_study(
             lambda: build_spider2(seed=seed),
@@ -465,35 +476,19 @@ def _cmd_resilience(args) -> int:
              f"{result.blackout_reduction_seconds:,.0f} s"),
             ("availability gain", f"{result.availability_gain:+.4%}"),
         ], title="Automated vs manual delta"))
-        outcome = result.automated.remediation
-        if outcome is not None:
-            print()
-            print(render_kv(outcome.rows(),
-                            title="Closed-loop pipeline (automated arm)"))
-            if outcome.by_class:
-                print()
-                print(render_table(
-                    ["fault class", "remediated", "mean MTTD", "mean MTTR"],
-                    outcome.class_rows(),
-                    title="MTTD/MTTR decomposition per fault class"))
+        _print_remediation(result.automated.remediation,
+                           "Closed-loop pipeline (automated arm)")
     return 0
 
 
 def _cmd_monitor(args) -> int:
     from repro.analysis.reporting import render_kv, render_table
     from repro.core.spider import build_spider2
-    from repro.faults import FaultCampaign, FaultPlan, cable_failure_scenario
-    from repro.obs.overlay import (
-        MonitoringOverlay,
-        OverlayConfig,
-        run_mttd_study,
-    )
-    from repro.resilience import RemediationPolicy
+    from repro.faults import FaultCampaign
+    from repro.obs.overlay import MonitoringOverlay, OverlayConfig
+    from repro.resilience import RemediationPolicy, run_mttd_study
 
-    if args.faults < 0:
-        raise CliError("--faults must be non-negative")
-    if args.duration <= 0:
-        raise CliError("--duration must be positive")
+    plan_factory, duration = _fault_plan(args)
     try:
         config = OverlayConfig(
             scrape_interval=args.scrape_interval,
@@ -506,16 +501,6 @@ def _cmd_monitor(args) -> int:
         raise CliError(str(exc)) from exc
 
     seed = args.seed
-    if args.scenario == "cable":
-        plan_factory = cable_failure_scenario
-        duration = None
-    else:
-        duration = args.duration
-
-        def plan_factory(system):
-            return FaultPlan.random(system, duration=args.duration,
-                                    n_faults=args.faults, seed=seed)
-
     with _tracing(args.trace):
         if args.study:
             result = run_mttd_study(
@@ -638,14 +623,18 @@ def _cmd_storm(args) -> int:
                                           link_bw=args.link_bw * GB))
     seed = args.seed
     with _tracing(args.trace):
-        result = run_storm_study(
-            lambda: build_spider2(seed=seed, build_clients=False, spec=spec),
-            seed=seed,
-            n_storm_clients=args.clients,
-            stripe=args.stripe,
-            duration=args.duration,
-            shed_fraction=args.shed,
-        )
+        try:
+            result = run_storm_study(
+                lambda: build_spider2(seed=seed, build_clients=False,
+                                      spec=spec),
+                seed=seed,
+                n_storm_clients=args.clients,
+                stripe=args.stripe,
+                duration=args.duration,
+                shed_fraction=args.shed,
+            )
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
     print(render_table(
         ["metric", "static", "flowlet"],
         result.rows(),

@@ -117,21 +117,6 @@ class StormArm:
     backpressure_engagements: int
     samples: tuple[StormSample, ...]
 
-    def rows(self) -> list[tuple[str, str]]:
-        """Key/value rows for the CLI report."""
-        return [
-            ("routing policy", self.policy),
-            ("probe latency p50", f"{self.latency_p50:,.2f} s"),
-            ("probe latency p99", f"{self.latency_p99:,.2f} s"),
-            ("probe rate floor", f"{self.min_probe_rate / GB:,.3f} GB/s"),
-            ("peak victim-link utilization", f"{self.peak_victim_util:.2f}"),
-            ("flowlet re-hashes", str(self.rehashes)),
-            ("stale feed reads", str(self.stale_reads)),
-            ("full re-solves", str(self.full_solves)),
-            ("backpressure engagements",
-             str(self.backpressure_engagements)),
-        ]
-
 
 @dataclass(frozen=True)
 class StormStudyResult:

@@ -9,6 +9,8 @@ latency, bounded fan-in, and seeded loss; the collector streams windowed
 rollups into a :class:`~repro.monitoring.metricsdb.MetricsDb`, feeds an
 :class:`~repro.obs.overlay.alerts.AlertEngine`, and backs the
 non-omniscient :class:`~repro.obs.overlay.observed.ObservedDetector`.
+The A16 study that compares that detector with the analytic one lives
+with the A15 study in :mod:`repro.resilience.study`.
 
 Deliberately *not* imported from :mod:`repro.obs` itself: the overlay
 reaches down into faults/core/sched surfaces that the leaf ``obs``
@@ -33,7 +35,6 @@ from repro.obs.overlay.scraper import (
     probes_for_system,
     scheduler_probes,
 )
-from repro.obs.overlay.study import MttdArm, MttdStudyResult, run_mttd_study
 from repro.obs.overlay.tree import AggregationTree
 
 __all__ = [
@@ -43,8 +44,6 @@ __all__ = [
     "BurnRateRule",
     "CollectorSink",
     "MonitoringOverlay",
-    "MttdArm",
-    "MttdStudyResult",
     "ObservedDetector",
     "OverlayConfig",
     "OverlayOutcome",
@@ -56,6 +55,5 @@ __all__ = [
     "default_rules",
     "probes_for_system",
     "resolver_for_system",
-    "run_mttd_study",
     "scheduler_probes",
 ]

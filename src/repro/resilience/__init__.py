@@ -16,8 +16,10 @@ This package automates that loop on the discrete-event engine:
 * :mod:`repro.resilience.runner` — :class:`PlaybookRunner` executes
   detect → decide → act → verify as engine events and aggregates the
   MTTD/MTTR decomposition;
-* :mod:`repro.resilience.study` — the paired manual-vs-automated
-  experiment with the standard-recovery ablation.
+* :mod:`repro.resilience.study` — the two same-plan, same-seed campaign
+  studies: manual vs automated remediation with the standard-recovery
+  ablation (A15), and analytic vs observed vs tightened-overlay
+  detection (A16).
 
 Typical use::
 
@@ -48,8 +50,9 @@ from repro.resilience.runner import (
     RemediationRecord,
 )
 from repro.resilience.study import (
+    MttdStudyResult,
     PairedStudyResult,
-    StudyArm,
+    run_mttd_study,
     run_paired_study,
 )
 
@@ -67,7 +70,8 @@ __all__ = [
     "PlaybookRunner",
     "RemediationRecord",
     "RemediationOutcome",
-    "StudyArm",
     "PairedStudyResult",
+    "MttdStudyResult",
     "run_paired_study",
+    "run_mttd_study",
 ]

@@ -3,6 +3,8 @@ full paper-calibrated Spider II for integration checks."""
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from repro.hardware.ssu import SsuSpec
 from repro.lustre.oss import OssSpec
 from repro.network.infiniband import FabricSpec
 from repro.network.torus import TorusSpec
+from repro.obs.instruments import Telemetry, use_telemetry
+from repro.obs.trace import Tracer, use_tracer
 from repro.units import GB, MB, TB
 
 
@@ -43,9 +47,43 @@ def mini_spec(**overrides) -> SpiderSpec:
     return SpiderSpec(**defaults)
 
 
+def fresh_system(**kw) -> SpiderSystem:
+    """A new mini system; campaigns and fault plans mutate the system in
+    place, so every run builds its own."""
+    return SpiderSystem(mini_spec(), seed=7, **kw)
+
+
+Run = Callable[[int], Any]
+
+
+def assert_same_seed_equal(run: Run, seed: int) -> None:
+    """``run(seed)`` equals itself."""
+    assert run(seed) == run(seed)
+
+
+def assert_telemetry_invariant(run: Run, seed: int) -> None:
+    """``run(seed)`` equals itself with telemetry and tracing enabled."""
+    plain = run(seed)
+    with use_telemetry(Telemetry(enabled=True)), \
+            use_tracer(Tracer(enabled=True)):
+        assert run(seed) == plain
+
+
+def assert_seed_sensitive(run: Run, seed: int) -> None:
+    """``run(seed)`` differs at ``seed + 1``, so ``==`` is not vacuous."""
+    assert run(seed + 1) != run(seed)
+
+
+def assert_reproducible(run: Run, seed: int) -> None:
+    """The contract every seeded run keeps: all three checks above."""
+    assert_same_seed_equal(run, seed)
+    assert_telemetry_invariant(run, seed)
+    assert_seed_sensitive(run, seed)
+
+
 @pytest.fixture
 def mini_system() -> SpiderSystem:
-    return SpiderSystem(mini_spec(), seed=7)
+    return fresh_system()
 
 
 @pytest.fixture(scope="session")

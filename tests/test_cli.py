@@ -243,3 +243,17 @@ class TestErrorPaths:
         assert main(["chaos", "--scenario", "cable",
                      "--trace", "/no/such/dir/t.json"]) == 1
         assert "cannot write trace file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["chaos", "--faults", "-1"], "--faults"),
+        (["chaos", "--duration", "0"], "--duration"),
+        (["resilience", "--scenario", "week", "--faults", "-1"], "--faults"),
+        (["resilience", "--scenario", "week", "--duration", "0"],
+         "--duration"),
+        (["storm", "--duration", "3600"], "storm_end <= duration"),
+    ])
+    def test_bad_campaign_arguments_are_clean_failures(self, argv, flag,
+                                                       capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("spider-repro: ") and flag in err

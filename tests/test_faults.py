@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.core.spider import SpiderSystem
 from repro.faults import (
     INJECTORS,
     FaultCampaign,
@@ -19,12 +18,12 @@ from repro.faults import (
 )
 from repro.obs.instruments import Telemetry, use_telemetry
 from repro.obs.trace import Tracer, read_chrome_trace, use_tracer
-from tests.conftest import mini_spec
-
-
-def fresh_system() -> SpiderSystem:
-    """Campaigns mutate the system in place — one per campaign."""
-    return SpiderSystem(mini_spec(), seed=7)
+from tests.conftest import (
+    assert_same_seed_equal,
+    assert_seed_sensitive,
+    assert_telemetry_invariant,
+    fresh_system,
+)
 
 
 def run_random(*, n_faults=6, seed=11, duration=40_000.0):
@@ -131,17 +130,13 @@ class TestInjectors:
 
 class TestCampaign:
     def test_same_seed_gives_equal_results(self):
-        assert run_random() == run_random()
+        assert_same_seed_equal(lambda seed: run_random(seed=seed), 11)
 
     def test_different_seed_differs(self):
-        assert run_random(seed=11) != run_random(seed=12)
+        assert_seed_sensitive(lambda seed: run_random(seed=seed), 11)
 
     def test_telemetry_on_off_is_bit_identical(self):
-        result_off = run_random()
-        telemetry, tracer = Telemetry(), Tracer()
-        with use_telemetry(telemetry), use_tracer(tracer):
-            result_on = run_random()
-        assert result_off == result_on
+        assert_telemetry_invariant(lambda seed: run_random(seed=seed), 11)
 
     def test_metrics_are_sane(self):
         result = run_random()
@@ -192,7 +187,7 @@ class TestCampaign:
         assert {"faults.injected", "faults.repaired"} <= snapshot_names
 
     def test_rejects_clientless_system(self):
-        system = SpiderSystem(mini_spec(), seed=7, build_clients=False)
+        system = fresh_system(build_clients=False)
         plan = FaultPlan(())
         with pytest.raises(ValueError):
             FaultCampaign(system, plan, duration=10.0)

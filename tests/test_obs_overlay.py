@@ -7,7 +7,6 @@ import itertools
 
 import pytest
 
-from repro.core.spider import SpiderSystem
 from repro.faults import FaultCampaign
 from repro.faults.events import FaultClass, PlannedFault
 from repro.faults.plan import cable_failure_scenario
@@ -24,21 +23,19 @@ from repro.obs.overlay import (
     Scraper,
     ThresholdRule,
     probes_for_system,
-    run_mttd_study,
     scheduler_probes,
 )
 from repro.obs.report import render_layer_report
 from repro.resilience.detector import DetectionModel
-from repro.resilience.playbooks import RemediationPolicy
+from repro.resilience import RemediationPolicy, run_mttd_study
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from repro.units import HOUR
-from tests.conftest import mini_spec
-
-
-def fresh_system() -> SpiderSystem:
-    """Campaigns mutate the system in place — one per campaign."""
-    return SpiderSystem(mini_spec(), seed=7)
+from tests.conftest import (
+    assert_same_seed_equal,
+    assert_telemetry_invariant,
+    fresh_system,
+)
 
 
 class TestOverlayConfig:
@@ -386,17 +383,13 @@ class TestObservedDetector:
         assert extra / 30.0 == pytest.approx(round(extra / 30.0))
 
 
-def run_cable_with_overlay(seed=11, telemetry=None):
+def run_cable_with_overlay(seed=11):
     system = fresh_system()
     plan = cable_failure_scenario(system)
     monitor = MonitoringOverlay(system, OverlayConfig(seed=3))
     policy = RemediationPolicy(imperative=True, hp_journaling=True, seed=seed)
-    campaign = FaultCampaign(system, plan, remediation=policy,
-                             monitor=monitor)
-    if telemetry is None:
-        return campaign.run()
-    with use_telemetry(telemetry):
-        return campaign.run()
+    return FaultCampaign(system, plan, remediation=policy,
+                         monitor=monitor).run()
 
 
 class TestCampaignIntegration:
@@ -410,12 +403,10 @@ class TestCampaignIntegration:
         assert any(a.rule == "cable-down" for a in result.overlay.alerts)
 
     def test_same_seed_campaigns_compare_equal(self):
-        assert run_cable_with_overlay() == run_cable_with_overlay()
+        assert_same_seed_equal(run_cable_with_overlay, 11)
 
     def test_campaign_bit_identical_with_telemetry_on_or_off(self):
-        off = run_cable_with_overlay()
-        on = run_cable_with_overlay(telemetry=Telemetry(enabled=True))
-        assert off == on
+        assert_telemetry_invariant(run_cable_with_overlay, 11)
 
     def test_observed_mttd_matches_pipeline_physics(self):
         # With loss ruled out, each fault's detect latency must equal the
@@ -443,17 +434,19 @@ class TestMttdStudy:
         result = run_mttd_study(
             fresh_system, cable_failure_scenario, seed=11,
             base=OverlayConfig(loss_probability=0.0, seed=11))
-        assert result.tight.mean_mttd_seconds \
-            < result.observed.mean_mttd_seconds
+        analytic, observed, tight = (
+            arm.remediation.mean_mttd_seconds
+            for arm in (result.analytic, result.observed, result.tight))
+        assert tight < observed
         assert result.tightening_gain_seconds > 0
         # The overlay adds tree lag the analytic model does not know.
-        assert result.observed.mean_mttd_seconds \
-            > result.analytic.mean_mttd_seconds
+        assert observed > analytic
         assert result.analytic.overlay is None
         assert result.observed.overlay is not None
-        assert result.observed.tree_depth > result.tight.tree_depth \
-            or result.observed.scrape_interval \
-            > result.tight.scrape_interval
+        _poll, observed_interval, tight_interval = result.intervals
+        assert result.observed.overlay.tree_depth \
+            > result.tight.overlay.tree_depth \
+            or observed_interval > tight_interval
 
 
 class TestSchedulerProbes:

@@ -7,10 +7,8 @@ import math
 
 import pytest
 
-from repro.core.spider import SpiderSystem
 from repro.faults import FaultCampaign, FaultClass, FaultPlan, PlannedFault
 from repro.faults.plan import cable_failure_scenario
-from repro.obs.instruments import Telemetry, use_telemetry
 from repro.obs.trace import Tracer, use_tracer
 from repro.resilience import (
     PLAYBOOKS,
@@ -27,12 +25,11 @@ from repro.resilience import (
 )
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
-from tests.conftest import mini_spec
-
-
-def fresh_system() -> SpiderSystem:
-    """Campaigns mutate the system in place — one per campaign."""
-    return SpiderSystem(mini_spec(), seed=7)
+from tests.conftest import (
+    assert_same_seed_equal,
+    assert_telemetry_invariant,
+    fresh_system,
+)
 
 
 def run_cable(policy: RemediationPolicy | None):
@@ -180,19 +177,16 @@ class TestPlaybookRunner:
                 n_clients=0)
 
 
+def remediated_cable(seed: int):
+    return run_cable(RemediationPolicy(seed=seed))
+
+
 class TestRemediatedCampaign:
     def test_same_seed_results_compare_equal(self):
-        r1 = run_cable(RemediationPolicy(seed=11))
-        r2 = run_cable(RemediationPolicy(seed=11))
-        assert r1 == r2
-        assert r1.remediation == r2.remediation
+        assert_same_seed_equal(remediated_cable, 11)
 
     def test_telemetry_on_off_bit_identical(self):
-        quiet = run_cable(RemediationPolicy(seed=11))
-        with use_telemetry(Telemetry(enabled=True)), \
-                use_tracer(Tracer(enabled=True)):
-            loud = run_cable(RemediationPolicy(seed=11))
-        assert quiet == loud
+        assert_telemetry_invariant(remediated_cable, 11)
 
     def test_remediation_races_and_beats_the_scripted_repair(self):
         result = run_cable(RemediationPolicy(seed=11))
@@ -237,12 +231,12 @@ class TestPairedStudy:
     def test_cable_automated_strictly_beats_manual_and_standard(self):
         result = run_paired_study(fresh_system, cable_failure_scenario,
                                   seed=11)
-        assert result.automated.blackout_seconds \
-            < result.manual.blackout_seconds
+        assert result.automated.total_blackout_seconds() \
+            < result.manual.total_blackout_seconds()
         assert result.availability_gain > 0
         # The §IV-D ablation: imperative recovery beats standard.
-        assert result.automated.blackout_seconds \
-            < result.standard.blackout_seconds
+        assert result.automated.total_blackout_seconds() \
+            < result.standard.total_blackout_seconds()
         assert result.automated.availability > result.standard.availability
         assert result.blackout_reduction_seconds > 0
 
@@ -253,11 +247,11 @@ class TestPairedStudy:
 
         result = run_paired_study(fresh_system, plan, seed=11,
                                   duration=40_000.0)
-        assert result.automated.blackout_seconds \
-            < result.manual.blackout_seconds
+        assert result.automated.total_blackout_seconds() \
+            < result.manual.total_blackout_seconds()
         assert result.availability_gain > 0
-        assert result.automated.blackout_seconds \
-            < result.standard.blackout_seconds
+        assert result.automated.total_blackout_seconds() \
+            < result.standard.total_blackout_seconds()
 
     def test_rows_render(self):
         result = run_paired_study(fresh_system, cable_failure_scenario,
@@ -273,7 +267,7 @@ class TestSchedulerRemediation:
         from repro.sched.arrivals import JobMix, generate_jobs
         from repro.sched.scheduler import FacilityScheduler
 
-        system = SpiderSystem(mini_spec(), seed=7, build_clients=False)
+        system = fresh_system(build_clients=False)
         jobs = generate_jobs(
             JobMix(), duration=20_000.0, seed=11,
             reference_bandwidth=system.aggregate_bandwidth(fs_level=True))

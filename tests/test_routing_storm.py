@@ -11,14 +11,18 @@ from dataclasses import replace
 
 import pytest
 
-from tests.conftest import mini_spec
+from tests.conftest import (
+    assert_same_seed_equal,
+    assert_seed_sensitive,
+    assert_telemetry_invariant,
+    mini_spec,
+)
 from repro.core.spider import SpiderSystem
 from repro.network.storm import (
     StormStudyResult,
     _probe_coord,
     run_storm_study,
 )
-from repro.obs.instruments import Telemetry, use_telemetry
 from repro.units import GB
 
 
@@ -74,27 +78,18 @@ class TestStormHeadline:
         assert study.flowlet.full_solves > study.static.full_solves
 
     def test_rows_are_renderable(self, study):
-        rows = study.rows()
-        assert all(len(r) == 3 for r in rows)
-        for arm in (study.static, study.flowlet):
-            assert all(len(r) == 2 for r in arm.rows())
+        assert all(len(r) == 3 for r in study.rows())
 
 
 class TestDeterminism:
     def test_same_seed_results_compare_equal(self):
-        assert quick_study() == quick_study()
+        assert_same_seed_equal(lambda seed: quick_study(seed=seed), 11)
 
     def test_different_seed_differs(self):
-        a = quick_study(seed=1)
-        b = quick_study(seed=2)
-        assert a != b
+        assert_seed_sensitive(lambda seed: quick_study(seed=seed), 11)
 
     def test_bit_identical_with_telemetry_on_or_off(self):
-        with use_telemetry(Telemetry(enabled=True)):
-            on = quick_study()
-        with use_telemetry(Telemetry(enabled=False)):
-            off = quick_study()
-        assert on == off
+        assert_telemetry_invariant(lambda seed: quick_study(seed=seed), 11)
 
     def test_result_is_a_plain_value(self):
         study = quick_study()

@@ -22,16 +22,15 @@ from repro.sched import (
     jains_index,
 )
 from repro.units import GB, HOUR, MINUTE
-from tests.conftest import mini_spec
+from tests.conftest import (
+    assert_same_seed_equal,
+    assert_seed_sensitive,
+    fresh_system,
+)
 
 SIM = PlatformClass.SIMULATION
 ANA = PlatformClass.ANALYTICS
 DTN = PlatformClass.DATA_TRANSFER
-
-
-def fresh_system() -> SpiderSystem:
-    """Schedulers with fault plans mutate the system — one per run."""
-    return SpiderSystem(mini_spec(), seed=7, build_clients=False)
 
 
 def backbone_of(system: SpiderSystem) -> float:
@@ -199,7 +198,7 @@ class TestJainsIndex:
 
 class TestScheduler:
     def test_single_job_runs_at_isolated_speed(self):
-        system = fresh_system()
+        system = fresh_system(build_clients=False)
         bw = backbone_of(system)
         job = io_job("solo", demand=0.5 * bw, seconds=30.0)
         result = FacilityScheduler(system, [job],
@@ -211,7 +210,7 @@ class TestScheduler:
         assert result.makespan == pytest.approx(30.0, rel=1e-3)
 
     def test_contention_halves_rates(self):
-        system = fresh_system()
+        system = fresh_system(build_clients=False)
         bw = backbone_of(system)
         jobs = [io_job("a", demand=bw, seconds=30.0),
                 io_job("b", demand=bw, seconds=30.0)]
@@ -224,7 +223,7 @@ class TestScheduler:
         assert result.overall_fairness == pytest.approx(1.0)
 
     def test_qos_cap_throttles(self):
-        system = fresh_system()
+        system = fresh_system(build_clients=False)
         bw = backbone_of(system)
         job = io_job("burst", demand=bw, seconds=30.0)
         result = FacilityScheduler(system, [job], policy=QosPolicy()).run()
@@ -233,7 +232,7 @@ class TestScheduler:
                                                             rel=1e-3)
 
     def test_admission_limit_queues_fifo(self):
-        system = fresh_system()
+        system = fresh_system(build_clients=False)
         bw = backbone_of(system)
         policy = QosPolicy(enabled=False, max_concurrent={SIM: 1})
         jobs = [io_job("a", demand=0.5 * bw, seconds=30.0),
@@ -246,7 +245,7 @@ class TestScheduler:
         assert queued.stretch > queued.slowdown
 
     def test_compute_phases_cost_no_bandwidth(self):
-        system = fresh_system()
+        system = fresh_system(build_clients=False)
         bw = backbone_of(system)
         job = JobSpec("mixed", SIM, 0.0,
                       (Phase.compute(10 * MINUTE),
@@ -257,7 +256,7 @@ class TestScheduler:
         assert result.makespan == pytest.approx(10 * MINUTE + 30.0, rel=1e-3)
 
     def test_horizon_censors(self):
-        system = fresh_system()
+        system = fresh_system(build_clients=False)
         bw = backbone_of(system)
         job = io_job("long", demand=0.5 * bw, seconds=4000.0)
         result = FacilityScheduler(system, [job], horizon=100.0).run()
@@ -268,7 +267,7 @@ class TestScheduler:
         assert outcome.slowdown is None and outcome.stretch is None
 
     def test_latency_probe_absent_without_analytics(self):
-        system = fresh_system()
+        system = fresh_system(build_clients=False)
         bw = backbone_of(system)
         result = FacilityScheduler(
             system, [io_job("solo", demand=0.5 * bw, seconds=30.0)],
@@ -279,7 +278,7 @@ class TestScheduler:
 
     def test_fault_under_load_slows_jobs(self):
         def run(with_fault: bool):
-            system = fresh_system()
+            system = fresh_system(build_clients=False)
             bw = backbone_of(system)
             job = io_job("victim", demand=bw, seconds=60.0)
             plan = None
@@ -296,7 +295,7 @@ class TestScheduler:
         assert faulted.outcomes[0].slowdown > clean.outcomes[0].slowdown
 
     def test_rejects_bad_inputs(self):
-        system = fresh_system()
+        system = fresh_system(build_clients=False)
         with pytest.raises(ValueError):
             FacilityScheduler(system, [])
         with pytest.raises(ValueError):
@@ -304,51 +303,37 @@ class TestScheduler:
                               horizon=0.0)
 
 
+def population(policy: QosPolicy, seed: int = 11):
+    """The two-hour mini-system job population run under ``policy``."""
+    system = fresh_system(build_clients=False)
+    jobs = generate_jobs(JobMix(), duration=2 * HOUR, seed=seed,
+                         reference_bandwidth=backbone_of(system))
+    return FacilityScheduler(system, jobs, policy=policy, seed=seed).run()
+
+
+def caps_pair(seed: int = 11):
+    """The same population with QoS caps off, then on."""
+    return (population(QosPolicy.disabled(), seed),
+            population(QosPolicy(), seed))
+
+
 @pytest.fixture(scope="module")
 def paired_runs():
-    """The same mini-system population with QoS caps off and on."""
-    def run(policy):
-        system = fresh_system()
-        bw = backbone_of(system)
-        jobs = generate_jobs(JobMix(), duration=2 * HOUR, seed=11,
-                             reference_bandwidth=bw)
-        return FacilityScheduler(system, jobs, policy=policy, seed=11).run()
-
-    return run(QosPolicy.disabled()), run(QosPolicy())
+    return caps_pair()
 
 
 class TestPopulationRuns:
-    def test_same_seed_results_are_equal(self, paired_runs):
-        off, _on = paired_runs
-        system = fresh_system()
-        bw = backbone_of(system)
-        jobs = generate_jobs(JobMix(), duration=2 * HOUR, seed=11,
-                             reference_bandwidth=bw)
-        again = FacilityScheduler(system, jobs, policy=QosPolicy.disabled(),
-                                  seed=11).run()
-        assert again == off
+    def test_same_seed_results_are_equal(self):
+        assert_same_seed_equal(caps_pair, 11)
 
-    def test_different_seed_differs(self, paired_runs):
-        off, _on = paired_runs
-        system = fresh_system()
-        bw = backbone_of(system)
-        jobs = generate_jobs(JobMix(), duration=2 * HOUR, seed=12,
-                             reference_bandwidth=bw)
-        other = FacilityScheduler(system, jobs, policy=QosPolicy.disabled(),
-                                  seed=12).run()
-        assert other != off
+    def test_different_seed_differs(self):
+        assert_seed_sensitive(caps_pair, 11)
 
-    def test_telemetry_on_off_is_bit_identical(self, paired_runs):
+    def test_job_spans_and_finished_counter_match_the_run(self, paired_runs):
         _off, on = paired_runs
         telemetry, tracer = Telemetry(enabled=True), Tracer(enabled=True)
         with use_telemetry(telemetry), use_tracer(tracer):
-            system = fresh_system()
-            bw = backbone_of(system)
-            jobs = generate_jobs(JobMix(), duration=2 * HOUR, seed=11,
-                                 reference_bandwidth=bw)
-            instrumented = FacilityScheduler(system, jobs, policy=QosPolicy(),
-                                             seed=11).run()
-        assert instrumented == on
+            population(QosPolicy())
         spans = [s for s in tracer.spans if s.name.startswith("job:")]
         assert len(spans) == on.n_submitted
         finished = [c for c in telemetry.counters()
