@@ -20,9 +20,6 @@ Two assertions keep the small-file tier honest as it grows:
 from __future__ import annotations
 
 import gc
-import json
-import pathlib
-import time
 
 from repro.lustre.ost import Ost, OstSpec
 from repro.metatier import MetaStudySpec, run_meta_study
@@ -40,7 +37,7 @@ from repro.obs.trace import Tracer, use_tracer
 from repro.sim.engine import Engine
 from repro.units import DAY, HOUR, MiB, TB
 
-BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_meta.json"
+from perfgate import interleaved, timed
 
 _REPEATS = 7
 _ROUNDS = 3
@@ -75,53 +72,34 @@ def _run_timeline() -> AggregatedTier:
     return tier
 
 
-def _timed(fn) -> tuple[float, AggregatedTier]:
+def _run_off() -> tuple[float, AggregatedTier]:
+    """:func:`timed` timeline, GC collected first and parked while it runs."""
     gc.collect()
     gc.disable()
     try:
-        t0 = time.perf_counter()
-        tier = fn()
-        return time.perf_counter() - t0, tier
+        return timed(_run_timeline)
     finally:
         gc.enable()
-
-
-def _run_off() -> tuple[float, AggregatedTier]:
-    return _timed(_run_timeline)
 
 
 def _run_on() -> tuple[float, AggregatedTier]:
     telemetry, tracer = Telemetry(enabled=True), Tracer(enabled=True)
     with use_telemetry(telemetry), use_tracer(tracer):
-        return _timed(_run_timeline)
+        return _run_off()
 
 
-def _measure() -> tuple[float, float, AggregatedTier]:
-    """One interleaved min-of-N round: (best_off, best_on, a tier)."""
-    off_times, on_times = [], []
-    tier = None
-    for _ in range(_REPEATS):
-        t_off, tier = _run_off()
-        t_on, _ = _run_on()
-        off_times.append(t_off)
-        on_times.append(t_on)
-    return min(off_times), min(on_times), tier
-
-
-def test_meta_overhead_and_throughput_floor(report):
-    # Warm both paths (imports, allocator, caches) before measuring.
-    _run_off()
-    _run_on()
-
-    best_off = best_on = overhead = tier = None
+def test_meta_overhead_and_throughput_floor(record):
+    rounds = []  # (overhead, best_off, best_on) per round
     for _ in range(_ROUNDS):
-        round_off, round_on, tier = _measure()
-        round_overhead = round_on / round_off - 1.0
-        if overhead is None or round_overhead < overhead:
-            best_off, best_on, overhead = round_off, round_on, round_overhead
-        if overhead < _OVERHEAD_LIMIT:
+        off, on = interleaved([_run_off, _run_on], _REPEATS)
+        best_off = min(wall for wall, _ in off)
+        best_on = min(wall for wall, _ in on)
+        rounds.append((best_on / best_off - 1.0, best_off, best_on))
+        if rounds[-1][0] < _OVERHEAD_LIMIT:
             break
+    overhead, best_off, best_on = min(rounds)
 
+    tier = off[-1][1]
     logical_ops = (tier.logical_creates + tier.logical_reads
                    + tier.logical_deletes + tier.audit_examined)
     ops_per_second = logical_ops / best_off
@@ -130,8 +108,7 @@ def test_meta_overhead_and_throughput_floor(report):
     result = run_meta_study(
         MetaStudySpec(n_files=_N_FILES, seed=2014, with_faults=False))
 
-    payload = {
-        "benchmark": "meta_overhead",
+    record("meta", {
         "workload": f"aggregated-tier timeline, {_N_FILES} tiny files",
         "repeats": _REPEATS,
         "best_off_s": best_off,
@@ -142,17 +119,14 @@ def test_meta_overhead_and_throughput_floor(report):
         "ops_per_wall_second": ops_per_second,
         "ops_per_second_floor": _OPS_PER_SECOND_FLOOR,
         "paired_study_gain": result.throughput_gain,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-    report("BENCH_meta", "\n".join([
+    }, [
         f"telemetry off (best of {_REPEATS}): {best_off * 1e3:.2f} ms",
         f"telemetry on  (best of {_REPEATS}): {best_on * 1e3:.2f} ms",
         f"overhead: {overhead:+.1%} (limit {_OVERHEAD_LIMIT:.0%})",
         f"tiny-file ops: {ops_per_second:,.0f}/s "
         f"(floor {_OPS_PER_SECOND_FLOOR:,.0f}/s)",
         f"paired-study gain: {result.throughput_gain:,.1f}x",
-    ]))
+    ])
 
     assert overhead < _OVERHEAD_LIMIT, (
         f"metatier telemetry overhead {overhead:.1%} exceeds "

@@ -10,65 +10,23 @@ interleaved, so scheduler noise hits both sides equally.  Results land in
 
 from __future__ import annotations
 
-import json
-import pathlib
-import time
-
 from repro.iobench.ior import IorRun
 from repro.obs.instruments import Telemetry, use_telemetry
 from repro.obs.trace import Tracer, use_tracer
 
-BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_obs.json"
+from perfgate import timed
 
 _REPEATS = 7
-_OVERHEAD_LIMIT = 0.10
 
 
-def _run_off(system) -> float:
-    t0 = time.perf_counter()
-    IorRun(system, n_processes=1008, placement="optimal").run()
-    return time.perf_counter() - t0
+def test_obs_overhead_under_ten_percent(spider2, overhead_gate):
+    def ior():
+        return IorRun(spider2, n_processes=1008, placement="optimal").run()
 
+    def on():
+        telemetry, tracer = Telemetry(enabled=True), Tracer(enabled=True)
+        with use_telemetry(telemetry), use_tracer(tracer):
+            return timed(ior)
 
-def _run_on(system) -> float:
-    telemetry, tracer = Telemetry(enabled=True), Tracer(enabled=True)
-    with use_telemetry(telemetry), use_tracer(tracer):
-        t0 = time.perf_counter()
-        IorRun(system, n_processes=1008, placement="optimal").run()
-        return time.perf_counter() - t0
-
-
-def test_obs_overhead_under_ten_percent(spider2, report):
-    # Warm both paths (imports, allocator, caches) before measuring.
-    _run_off(spider2)
-    _run_on(spider2)
-
-    off_times, on_times = [], []
-    for _ in range(_REPEATS):
-        off_times.append(_run_off(spider2))
-        on_times.append(_run_on(spider2))
-
-    best_off, best_on = min(off_times), min(on_times)
-    overhead = best_on / best_off - 1.0
-
-    payload = {
-        "benchmark": "obs_overhead",
-        "workload": "IorRun(n=1008, optimal) on spider2",
-        "repeats": _REPEATS,
-        "best_off_s": best_off,
-        "best_on_s": best_on,
-        "overhead_fraction": overhead,
-        "limit_fraction": _OVERHEAD_LIMIT,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-    report("BENCH_obs", "\n".join([
-        f"telemetry off (best of {_REPEATS}): {best_off * 1e3:.2f} ms",
-        f"telemetry on  (best of {_REPEATS}): {best_on * 1e3:.2f} ms",
-        f"overhead: {overhead:+.1%} (limit {_OVERHEAD_LIMIT:.0%})",
-    ]))
-
-    assert overhead < _OVERHEAD_LIMIT, (
-        f"telemetry overhead {overhead:.1%} exceeds {_OVERHEAD_LIMIT:.0%} "
-        f"({best_on * 1e3:.2f} ms on vs {best_off * 1e3:.2f} ms off)"
-    )
+    overhead_gate("obs", "IorRun(n=1008, optimal) on spider2",
+                  lambda: timed(ior), on, trials=_REPEATS)

@@ -11,10 +11,6 @@ Results land in ``BENCH_overlay.json`` at the repo root.
 
 from __future__ import annotations
 
-import json
-import pathlib
-import time
-
 from repro.core.spider import SpiderSystem
 from repro.faults import FaultCampaign, FaultPlan
 from repro.obs.overlay import MonitoringOverlay, OverlayConfig
@@ -22,10 +18,9 @@ from repro.resilience import RemediationPolicy
 from repro.units import DAY, HOUR, MINUTE
 from tests.conftest import mini_spec
 
-BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_overlay.json"
+from perfgate import timed
 
 _REPEATS = 5
-_OVERHEAD_LIMIT = 0.10
 #: a dense fault day — the baseline must be dominated by campaign work
 #: (flow re-solves, playbooks), the regime the gate prices monitoring in
 _N_FAULTS = 96
@@ -36,7 +31,7 @@ _SCRAPE_INTERVAL = 5.0 * MINUTE
 _ROLLUP_INTERVAL = 10.0 * MINUTE
 
 
-def _run(monitored: bool) -> float:
+def _run(monitored: bool):
     # Campaigns mutate the system, so the build happens outside the
     # timed region — the bench measures campaign cost, not construction.
     # Both arms remediate; the delta is pure overlay machinery (scrape
@@ -52,45 +47,12 @@ def _run(monitored: bool) -> float:
     campaign = FaultCampaign(system, plan, duration=DAY,
                              remediation=RemediationPolicy(seed=_SEED),
                              monitor=monitor)
-    t0 = time.perf_counter()
-    campaign.run()
-    return time.perf_counter() - t0
+    return timed(campaign.run)
 
 
-def test_overlay_overhead_under_ten_percent(report):
-    # Warm both paths (imports, allocator, caches) before measuring.
-    _run(False)
-    _run(True)
-
-    off_times, on_times = [], []
-    for _ in range(_REPEATS):
-        off_times.append(_run(False))
-        on_times.append(_run(True))
-
-    best_off, best_on = min(off_times), min(on_times)
-    overhead = best_on / best_off - 1.0
-
-    payload = {
-        "benchmark": "overlay_overhead",
-        "workload": (f"remediated FaultCampaign, {_N_FAULTS} random faults "
-                     f"over one day on mini, scrape every "
-                     f"{_SCRAPE_INTERVAL:.0f} s"),
-        "repeats": _REPEATS,
-        "best_baseline_s": best_off,
-        "best_monitored_s": best_on,
-        "overhead_fraction": overhead,
-        "limit_fraction": _OVERHEAD_LIMIT,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-    report("BENCH_overlay", "\n".join([
-        f"baseline campaign  (best of {_REPEATS}): {best_off * 1e3:.2f} ms",
-        f"monitored campaign (best of {_REPEATS}): {best_on * 1e3:.2f} ms",
-        f"overhead: {overhead:+.1%} (limit {_OVERHEAD_LIMIT:.0%})",
-    ]))
-
-    assert overhead < _OVERHEAD_LIMIT, (
-        f"overlay overhead {overhead:.1%} exceeds "
-        f"{_OVERHEAD_LIMIT:.0%} ({best_on * 1e3:.2f} ms monitored vs "
-        f"{best_off * 1e3:.2f} ms baseline)"
-    )
+def test_overlay_overhead_under_ten_percent(overhead_gate):
+    overhead_gate(
+        "overlay",
+        (f"remediated FaultCampaign, {_N_FAULTS} random faults over one "
+         f"day on mini, scrape every {_SCRAPE_INTERVAL:.0f} s"),
+        lambda: _run(False), lambda: _run(True), trials=_REPEATS)

@@ -1,12 +1,12 @@
 """Perf gate: congestion-aware routing must ride along for (almost) free.
 
-PR 10 threads a :class:`~repro.network.routing.BackpressureController`
-through the facility scheduler's allocation loop: every round feeds the
-controller the backbone utilization it delivered and lets it debounce a
-degraded-mode flip.  That wiring sits on the scheduler's hottest path,
-so this bench re-runs the ``BENCH_sched`` 1,000+-job day twice — bare
-vs. with the controller attached — and pins three regression gates (see
-``docs/PERFORMANCE.md``):
+The facility scheduler threads a
+:class:`~repro.network.routing.BackpressureController` through its
+allocation loop: every round feeds the controller the backbone
+utilization it delivered and lets it debounce a degraded-mode flip.
+That wiring sits on the scheduler's hottest path, so this bench re-runs
+the ``BENCH_sched`` 1,000+-job day twice — bare vs. with the controller
+attached — and pins three regression gates (see ``docs/PERFORMANCE.md``):
 
 * an overhead ceiling — the controller costs ≤ 10% wall clock;
 * the same jobs/s floor the bare scheduler must clear, now demanded of
@@ -23,120 +23,70 @@ Results land in ``BENCH_routing.json`` at the repo root.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import statistics
-import time
-from dataclasses import replace
 
-from repro.core.spider import SpiderSpec, SpiderSystem
 from repro.network.routing import BackpressureController, LinkStatsFeed
-from repro.network.storm import run_storm_study
-from repro.sched import (
-    BACKBONE_COMPONENT,
-    FacilityScheduler,
-    JobMix,
-    QosPolicy,
-    generate_jobs,
+from repro.sched import BACKBONE_COMPONENT, FacilityScheduler, QosPolicy
+from repro.units import HOUR
+from tests.test_routing_storm import quick_study
+
+from perfgate import (
+    JOB_DAY_SEED,
+    JOB_DAY_WINDOW,
+    JOBS_PER_S_FLOOR,
+    interleaved,
+    job_day,
+    timed,
 )
-from repro.units import GB, HOUR
-from tests.conftest import mini_spec
-
-BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_routing.json"
-
-#: same dense job day as ``test_sched_overhead.py`` — the overhead gate
-#: is only meaningful against the workload the baseline floor is pinned
-#: on.
-_RATE_SCALE = 1.0
-_WINDOW = 44 * HOUR
-_MIN_JOBS = 1_000
-_SEED = 2014
 
 #: paired trials; more than BENCH_sched's best-of-5 because the gate
 #: here is a *ratio* of two small wall clocks, so the statistic is the
-#: median over per-pair ratios (see :func:`_timed_arms`) and the median
-#: of nine is stable where a best-of-N difference is not.
+#: median over per-pair ratios and the median of nine is stable where a
+#: best-of-N difference is not.
 _TRIALS = 9
 
 #: ceiling on the controller's wall-clock tax over the bare scheduler.
 _LIMIT_FRACTION = 0.10
 
-#: the BENCH_sched floor, demanded of the monitored run: attaching the
-#: controller must not push throughput below what the bare scheduler
-#: guarantees.
-_JOBS_PER_S_FLOOR = 1_500.0
 
-
-def _storm_mini_spec() -> SpiderSpec:
-    """The mini system in the scarce-row-bandwidth regime the A19 study
-    (and the ``spider-repro storm`` CLI) runs in."""
-    base = mini_spec()
-    return replace(base, torus=replace(base.torus, link_bw=0.5 * GB))
-
-
-def _one_run(system, jobs, *, monitored: bool):
-    """One scheduler day; returns ``(wall_s, result)``.  A fresh
-    controller per run — streak state must not leak across trials."""
+def _run(system, jobs, *, monitored: bool):
+    """One scheduler day, timed around ``run()``.  A fresh controller per
+    run — streak state must not leak across trials."""
     backpressure = (BackpressureController(LinkStatsFeed(),
                                            (BACKBONE_COMPONENT,))
                     if monitored else None)
-    sched = FacilityScheduler(system, jobs,
-                              policy=QosPolicy.disabled(), seed=_SEED,
-                              backpressure=backpressure)
-    t0 = time.perf_counter()
-    result = sched.run()
-    return time.perf_counter() - t0, result
+    sched = FacilityScheduler(system, jobs, policy=QosPolicy.disabled(),
+                              seed=JOB_DAY_SEED, backpressure=backpressure)
+    return timed(sched.run)
 
 
-def _timed_arms():
-    """Paired trials, back to back, so each ratio samples one moment of
-    machine state.  The gate statistic is the *median* of the per-pair
-    wall-clock ratios: an arm-wide minimum taken across the whole run
-    soaks up warm-up and frequency-scaling drift as fake overhead, while
-    a paired median is centered on the intrinsic cost ratio and a single
-    loaded pair cannot move it."""
-    system = SpiderSystem(mini_spec(), seed=_SEED, build_clients=False)
-    jobs = generate_jobs(
-        JobMix().scaled(_RATE_SCALE),
-        duration=_WINDOW,
-        seed=_SEED,
-        reference_bandwidth=system.aggregate_bandwidth(fs_level=True),
-    )
-    assert len(jobs) >= _MIN_JOBS
-    _one_run(system, jobs, monitored=True)  # warm-up, untimed
-    ratios = []
-    bare_walls, monitored_walls = [], []
-    bare_result = monitored_result = None
-    for _ in range(_TRIALS):
-        bare_wall, bare_result = _one_run(system, jobs, monitored=False)
-        monitored_wall, monitored_result = _one_run(system, jobs,
-                                                    monitored=True)
-        bare_walls.append(bare_wall)
-        monitored_walls.append(monitored_wall)
-        ratios.append(monitored_wall / bare_wall)
-    return (statistics.median(ratios),
-            min(bare_walls), bare_result,
-            min(monitored_walls), monitored_result)
-
-
-def test_routing_backpressure_overhead_within_budget(report):
-    (ratio, bare_wall, bare_result,
-     monitored_wall, monitored_result) = _timed_arms()
-
-    overhead = ratio - 1.0
+def test_routing_backpressure_overhead_within_budget(record):
+    # Paired trials, back to back, so each ratio samples one moment of
+    # machine state.  The gate statistic is the *median* of the per-pair
+    # wall-clock ratios: an arm-wide minimum taken across the whole run
+    # soaks up warm-up and frequency-scaling drift as fake overhead,
+    # while a paired median is centered on the intrinsic cost ratio and
+    # a single loaded pair cannot move it.
+    system, jobs = job_day()
+    bare, monitored = interleaved(
+        [lambda: _run(system, jobs, monitored=False),
+         lambda: _run(system, jobs, monitored=True)], _TRIALS)
+    overhead = statistics.median(
+        on_wall / off_wall
+        for (off_wall, _), (on_wall, _) in zip(bare, monitored)) - 1.0
+    bare_wall = min(wall for wall, _ in bare)
+    monitored_wall = min(wall for wall, _ in monitored)
+    bare_result, monitored_result = bare[-1][1], monitored[-1][1]
     jobs_per_s = monitored_result.n_jobs / monitored_wall
 
-    # The storm headline rides in the record: the same quick mini study
-    # the routing tests pin (scarce-row regime, seed 11), so the JSON
-    # carries the win the overhead above pays for.
-    study = run_storm_study(
-        lambda: SpiderSystem(_storm_mini_spec(), seed=7),
-        seed=11, duration=3600.0, storm_start=600.0, storm_end=3000.0)
+    # The storm headline rides in the record: the quick mini study the
+    # routing tests pin (scarce-row regime, seed 11), so the JSON carries
+    # the win the overhead above pays for.
+    study = quick_study()
 
-    payload = {
-        "benchmark": "routing_overhead",
+    record("routing", {
         "workload": (f"FacilityScheduler, {monitored_result.n_jobs} jobs "
-                     f"over {_WINDOW / HOUR:.0f} h on mini, bare vs "
+                     f"over {JOB_DAY_WINDOW / HOUR:.0f} h on mini, bare vs "
                      f"backpressure-monitored"),
         "n_jobs": monitored_result.n_jobs,
         "trials": _TRIALS,
@@ -145,7 +95,7 @@ def test_routing_backpressure_overhead_within_budget(report):
         "overhead_fraction": overhead,
         "limit_fraction": _LIMIT_FRACTION,
         "jobs_per_second": jobs_per_s,
-        "jobs_per_second_floor": _JOBS_PER_S_FLOOR,
+        "jobs_per_second_floor": JOBS_PER_S_FLOOR,
         "results_identical": monitored_result == bare_result,
         "storm": {
             "study": "A19 mini, scarce-row regime (0.5 GB/s links)",
@@ -155,10 +105,7 @@ def test_routing_backpressure_overhead_within_budget(report):
             "rehashes": study.flowlet.rehashes,
             "backpressure_engagements": study.flowlet.backpressure_engagements,
         },
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-    report("BENCH_routing", "\n".join([
+    }, [
         f"jobs scheduled: {monitored_result.n_jobs} "
         f"(finished {monitored_result.n_finished})",
         f"bare wall: {bare_wall:.2f} s, monitored wall: "
@@ -166,11 +113,11 @@ def test_routing_backpressure_overhead_within_budget(report):
         f"overhead: {overhead:+.1%} median of {_TRIALS} paired ratios "
         f"(limit {_LIMIT_FRACTION:.0%})",
         f"throughput monitored: {jobs_per_s:.0f} jobs/s "
-        f"(floor {_JOBS_PER_S_FLOOR:.0f})",
+        f"(floor {JOBS_PER_S_FLOOR:.0f})",
         f"storm headline: static p99 {study.static.latency_p99:.2f} s vs "
         f"flowlet {study.flowlet.latency_p99:.2f} s "
         f"({study.recovery_factor:.1f}x recovery)",
-    ]))
+    ])
 
     assert monitored_result == bare_result, (
         "the backpressure controller perturbed scheduling: with QoS "
@@ -179,9 +126,9 @@ def test_routing_backpressure_overhead_within_budget(report):
     assert overhead <= _LIMIT_FRACTION, (
         f"backpressure monitoring cost {overhead:.1%} wall clock over "
         f"the bare scheduler (limit {_LIMIT_FRACTION:.0%})")
-    assert jobs_per_s >= _JOBS_PER_S_FLOOR, (
+    assert jobs_per_s >= JOBS_PER_S_FLOOR, (
         f"monitored throughput {jobs_per_s:.0f} jobs/s fell below the "
-        f"{_JOBS_PER_S_FLOOR:.0f} jobs/s floor the bare scheduler is "
+        f"{JOBS_PER_S_FLOOR:.0f} jobs/s floor the bare scheduler is "
         f"held to")
     assert study.recovery_factor >= 10.0, (
         f"storm recovery {study.recovery_factor:.1f}x fell below the "

@@ -15,38 +15,21 @@ Results land in ``BENCH_sched.json`` at the repo root.
 
 from __future__ import annotations
 
-import json
-import pathlib
-import time
-
-from repro.core.spider import SpiderSystem
-from repro.sched import FacilityScheduler, JobMix, QosPolicy, generate_jobs
+from repro.sched import FacilityScheduler, QosPolicy
 from repro.units import HOUR
-from tests.conftest import mini_spec
 
-BENCH_PATH = pathlib.Path(__file__).parent.parent / "BENCH_sched.json"
+from perfgate import (
+    JOB_DAY_SEED,
+    JOB_DAY_WINDOW,
+    JOBS_PER_S_FLOOR,
+    interleaved,
+    job_day,
+    timed,
+)
 
-#: 27 jobs/hour at base rates over 44 h ≈ 1,200 jobs — comfortably past
-#: the 1,000-job floor.  Job demands are fractions of the reference
-#: bandwidth, so offered utilization is set by the rate scale alone;
-#: base rates keep the system drainable within the default horizon tail
-#: while the longer window accumulates the job count.
-_RATE_SCALE = 1.0
-_WINDOW = 44 * HOUR
-_MIN_JOBS = 1_000
-_SEED = 2014
-
-#: best-of-N timing: a perf gate keyed to a single wall-clock sample
-#: flakes with machine load, and the *minimum* over a few trials is the
-#: standard variance control — it estimates the code's intrinsic cost,
-#: which noise can only inflate, never deflate.
+#: best-of-N timing: one wall-clock sample flakes with machine load; the
+#: minimum estimates the intrinsic cost, which noise can only inflate.
 _TRIALS = 5
-
-#: regression floor on throughput.  The incremental solver sustains
-#: ~3,500 jobs/s on an unloaded machine (the from-scratch solver managed
-#: ~356); the floor sits well above the old ceiling but leaves ~2×
-#: headroom for slow or contended CI hosts.
-_JOBS_PER_S_FLOOR = 1_500.0
 
 #: regression ceiling on from-scratch solves.  The first allocation after
 #: a fresh arbiter is necessarily full; everything after must be a delta
@@ -54,38 +37,27 @@ _JOBS_PER_S_FLOOR = 1_500.0
 _MAX_FULL_RESOLVES = 2
 
 
-def test_sched_thousand_job_day_within_budget(report):
-    system = SpiderSystem(mini_spec(), seed=_SEED, build_clients=False)
-    jobs = generate_jobs(
-        JobMix().scaled(_RATE_SCALE),
-        duration=_WINDOW,
-        seed=_SEED,
-        reference_bandwidth=system.aggregate_bandwidth(fs_level=True),
-    )
-    assert len(jobs) >= _MIN_JOBS, (
-        f"arrival mix produced only {len(jobs)} jobs; "
-        f"raise the rate scale or window")
+def test_sched_thousand_job_day_within_budget(record):
+    system, jobs = job_day()
 
     # As-deployed (caps off): the bench measures scheduler cost, and the
     # base mix oversubscribes the simulation class's QoS cap, which would
     # grow the backlog with the window instead of draining it.
-    walls = []
-    result = None
-    solve_counts = None
-    for _ in range(_TRIALS):
+    def run():
         sched = FacilityScheduler(system, jobs,
-                                  policy=QosPolicy.disabled(), seed=_SEED)
-        t0 = time.perf_counter()
-        result = sched.run()
-        walls.append(time.perf_counter() - t0)
-        solve_counts = dict(sched.solve_counts)
-    wall_s = min(walls)
+                                  policy=QosPolicy.disabled(),
+                                  seed=JOB_DAY_SEED)
+        wall, result = timed(sched.run)
+        return wall, (result, dict(sched.solve_counts))
+
+    [samples] = interleaved([run], _TRIALS)
+    wall_s = min(wall for wall, _ in samples)
+    result, solve_counts = samples[-1][1]
     jobs_per_s = len(jobs) / wall_s
 
-    payload = {
-        "benchmark": "sched_overhead",
+    record("sched", {
         "workload": (f"FacilityScheduler, {len(jobs)} jobs over "
-                     f"{_WINDOW / HOUR:.0f} h on mini"),
+                     f"{JOB_DAY_WINDOW / HOUR:.0f} h on mini"),
         "n_jobs": len(jobs),
         "n_finished": result.n_finished,
         "n_censored": result.n_censored,
@@ -94,26 +66,23 @@ def test_sched_thousand_job_day_within_budget(report):
         "trials": _TRIALS,
         "wall_s": wall_s,
         "jobs_per_second": jobs_per_s,
-        "jobs_per_second_floor": _JOBS_PER_S_FLOOR,
-    }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-    report("BENCH_sched", "\n".join([
+        "jobs_per_second_floor": JOBS_PER_S_FLOOR,
+    }, [
         f"jobs scheduled: {len(jobs)} (finished {result.n_finished}, "
         f"censored {result.n_censored})",
         f"arbiter re-solves: {len(result.timeline)} "
         f"(counts {solve_counts})",
         f"wall clock: {wall_s:.2f} s best of {_TRIALS}",
         f"throughput: {jobs_per_s:.0f} jobs/s "
-        f"(floor {_JOBS_PER_S_FLOOR:.0f})",
-    ]))
+        f"(floor {JOBS_PER_S_FLOOR:.0f})",
+    ])
 
     assert result.n_censored == 0, (
         f"{result.n_censored} jobs censored at the horizon; the bench "
         f"window must drain completely")
-    assert jobs_per_s >= _JOBS_PER_S_FLOOR, (
+    assert jobs_per_s >= JOBS_PER_S_FLOOR, (
         f"scheduling throughput {jobs_per_s:.0f} jobs/s fell below the "
-        f"{_JOBS_PER_S_FLOOR:.0f} jobs/s regression floor")
+        f"{JOBS_PER_S_FLOOR:.0f} jobs/s regression floor")
     assert solve_counts["full"] <= _MAX_FULL_RESOLVES, (
         f"{solve_counts['full']} from-scratch solves; a warm arbiter "
         f"must re-solve incrementally (ceiling {_MAX_FULL_RESOLVES})")

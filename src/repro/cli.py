@@ -129,6 +129,12 @@ def _cmd_ior(args) -> int:
     from repro.core.spider import build_spider2
     from repro.iobench.ior import IorRun
 
+    if args.n_processes < 1:
+        raise CliError("-n/--n-processes must be positive")
+    if args.ppn < 1:
+        raise CliError("--ppn must be positive")
+    if args.transfer_size < 1:
+        raise CliError("--transfer-size must be positive")
     system = build_spider2(seed=args.seed)
     if args.upgraded:
         system.upgrade_controllers()
@@ -159,6 +165,8 @@ def _cmd_scaling(args) -> int:
     from repro.core.spider import build_spider2
     from repro.iobench.ior import client_scaling
 
+    if args.ppn < 1:
+        raise CliError("--ppn must be positive")
     system = build_spider2(seed=args.seed)
     if args.upgraded:
         system.upgrade_controllers()
@@ -183,6 +191,8 @@ def _cmd_culling(args) -> int:
     from repro.core.spider import build_spider2
     from repro.ops.culling import CullingCampaign
 
+    if not 0 < args.threshold < 1:
+        raise CliError("--threshold must be in (0, 1)")
     system = build_spider2(seed=args.seed, build_clients=False)
     campaign = CullingCampaign(system, threshold=args.threshold)
     result = campaign.run_full_campaign()
@@ -229,6 +239,8 @@ def _cmd_workload(args) -> int:
     from repro.analysis.workload_stats import characterize
     from repro.workloads.mixed import spider_mixed_workload
 
+    if args.hours <= 0:
+        raise CliError("--hours must be positive")
     _wl, trace = spider_mixed_workload(duration=args.hours * HOUR,
                                        seed=args.seed)
     print(render_table(["metric", "value"], characterize(trace).rows(),
@@ -326,9 +338,11 @@ def _cmd_recovery(args) -> int:
 
 def _cmd_suite(args) -> int:
     from repro.analysis.reporting import render_table
-    from repro.core.spider import build_spider2
+    from repro.core.spider import SPIDER2, build_spider2
     from repro.iobench.suite import AcceptanceSuite
 
+    if not 0 <= args.ssu < SPIDER2.n_ssus:
+        raise CliError(f"--ssu must be in [0, {SPIDER2.n_ssus - 1}]")
     system = build_spider2(seed=args.seed, build_clients=False)
     with _tracing(args.trace):
         report = AcceptanceSuite(system).run_ssu(args.ssu)
@@ -355,7 +369,8 @@ def _cmd_report(args) -> int:
 
 def _fault_plan(args):
     """``(plan_factory, duration)`` for --scenario: the scripted cases run
-    to their own horizon; the rest draw --faults over --duration."""
+    to their own horizon; the rest draw --faults over --duration.  Checks
+    the campaign flags (--threshold too) before any system is built."""
     from repro.faults import (
         FaultPlan,
         cable_failure_scenario,
@@ -366,6 +381,8 @@ def _fault_plan(args):
         raise CliError("--faults must be non-negative")
     if args.duration <= 0:
         raise CliError("--duration must be positive")
+    if not 0 < args.threshold < 1:
+        raise CliError("--threshold must be in (0, 1)")
     if args.scenario == "cable":
         return cable_failure_scenario, None
     if args.scenario == "incident2010":
@@ -565,6 +582,8 @@ def _cmd_meta(args) -> int:
         raise CliError("--files must be positive")
     if args.shards < 1:
         raise CliError("--shards must be positive")
+    if args.stores < 1:
+        raise CliError("--stores must be positive")
     if not (0.0 <= args.cache_hit <= 1.0):
         raise CliError("--cache-hit must be in [0, 1]")
     spec = MetaStudySpec(
@@ -699,6 +718,8 @@ def _cmd_reliability(args) -> int:
     from repro.analysis.reporting import render_table
     from repro.ops.reliability import ReliabilitySim
 
+    if args.years <= 0:
+        raise CliError("--years must be positive")
     sim = ReliabilitySim(declustered=args.declustered, seed=args.seed)
     report = sim.run(years=args.years)
     mode = "declustered" if args.declustered else "conventional"

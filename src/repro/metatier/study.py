@@ -27,12 +27,11 @@ from repro.metatier.needles import SegmentSpec, SegmentStore
 from repro.metatier.scenarios import (
     AggregatedTier,
     AuditSweep,
-    MetaFault,
-    MetaFaultPlan,
     PerFileTier,
     TinyFileSizes,
     TrainingReads,
     UntarStorm,
+    default_fault_plan,
 )
 from repro.metatier.shards import ShardedFilesystem
 from repro.obs.trace import get_tracer
@@ -178,15 +177,6 @@ def _make_osts(spec: MetaStudySpec) -> list[Ost]:
             for i in range(spec.n_osts)]
 
 
-def _fault_plan(spec: MetaStudySpec) -> MetaFaultPlan:
-    return MetaFaultPlan(faults=[
-        MetaFault(time=10_000.0, kind="mds-overload", target=0,
-                  magnitude=1.0),
-        MetaFault(time=20_000.0, kind="ost-fill", target=0, magnitude=0.9,
-                  repair_after=20_000.0),
-    ])
-
-
 def _run_arm(tier, spec: MetaStudySpec) -> tuple[int, "AuditSweep"]:
     """Replay the standard timeline against ``tier``; returns the purge
     total and the audit sweep (for report access)."""
@@ -212,7 +202,7 @@ def _run_arm(tier, spec: MetaStudySpec) -> tuple[int, "AuditSweep"]:
                        interval=spec.audit_interval)
     audit.install(engine, tier)
     if spec.with_faults:
-        _fault_plan(spec).install(engine, tier)
+        default_fault_plan().install(engine, tier)
     with get_tracer().span(f"meta:arm:{tier.name}", "metatier",
                            files=spec.n_files):
         engine.run(until=spec.horizon)

@@ -251,6 +251,20 @@ class TestErrorPaths:
         (["resilience", "--scenario", "week", "--duration", "0"],
          "--duration"),
         (["storm", "--duration", "3600"], "storm_end <= duration"),
+        (["meta", "--stores", "0"], "--stores"),
+        (["workload", "--hours", "0"], "--hours"),
+        (["workload", "--hours", "-1"], "--hours"),
+        (["suite", "--ssu", "999"], "--ssu"),
+        (["suite", "--ssu", "-1"], "--ssu"),
+        (["ior", "-n", "0"], "--n-processes"),
+        (["ior", "--ppn", "0"], "--ppn"),
+        (["ior", "--transfer-size", "0"], "--transfer-size"),
+        (["scaling", "--ppn", "0"], "--ppn"),
+        (["reliability", "--years", "0"], "--years"),
+        (["culling", "--threshold", "2"], "--threshold"),
+        (["chaos", "--threshold", "1"], "--threshold"),
+        (["resilience", "--threshold", "2"], "--threshold"),
+        (["monitor", "--threshold", "1"], "--threshold"),
     ])
     def test_bad_campaign_arguments_are_clean_failures(self, argv, flag,
                                                        capsys):
