@@ -5,10 +5,11 @@ half the SSUs (§IV-C).  This class binds the metadata model to the OST
 capacity accounting so higher-level tools (purger, LustreDU, dcp/dfind,
 capacity planning) operate against one coherent object.
 
-Object allocation follows Lustre's QOS allocator in spirit: weighted
-round-robin preferring emptier OSTs once imbalance exceeds a threshold.
-libPIO (the paper's balanced-placement library) bypasses this default by
-passing an explicit OST list.
+Object allocation (:class:`OstPool`, which the sharded file system
+shares) follows Lustre's QOS allocator in spirit: weighted round-robin
+preferring emptier OSTs once imbalance exceeds a threshold.  libPIO (the
+paper's balanced-placement library) bypasses this default by passing an
+explicit OST list.
 """
 
 from __future__ import annotations
@@ -22,30 +23,33 @@ from repro.lustre.namespace import FileEntry, Namespace, StripeLayout
 from repro.lustre.ost import Ost
 from repro.units import MiB
 
-__all__ = ["LustreFilesystem"]
+__all__ = ["OstPool", "LustreFilesystem"]
 
 
-class LustreFilesystem:
-    """One namespace backed by a set of OSTs and a single MDS."""
+class OstPool:
+    """The OST side of a file system: capacity, QOS allocation and the
+    per-OST charge of file growth.
+
+    Shared by :class:`LustreFilesystem` (one MDS) and
+    :class:`repro.metatier.shards.ShardedFilesystem` (N MDTs); each
+    subclass passes its own stripe defaults.
+    """
 
     def __init__(
         self,
         name: str,
         osts: list[Ost],
-        mds: MetadataServer | None = None,
         *,
-        default_stripe_count: int = 4,
-        default_stripe_size: int = MiB,
-        qos_threshold: float = 0.17,
+        default_stripe_count: int,
+        default_stripe_size: int,
+        qos_threshold: float,
     ) -> None:
         if not osts:
             raise ValueError("a file system needs at least one OST")
         if default_stripe_count < 1:
             raise ValueError("default_stripe_count must be >= 1")
         self.name = name
-        self.namespace = Namespace(name)
         self.osts = list(osts)
-        self.mds = mds or MetadataServer(MdsSpec(), name=f"{name}-mds")
         self.default_stripe_count = min(default_stripe_count, len(osts))
         self.default_stripe_size = default_stripe_size
         self.qos_threshold = qos_threshold
@@ -67,9 +71,11 @@ class LustreFilesystem:
         return self.used_bytes / self.capacity_bytes
 
     def ost(self, index: int) -> Ost:
+        """Look up one OST by global index."""
         return self._ost_by_index[index]
 
     def fill_fractions(self) -> np.ndarray:
+        """Per-OST fill levels, in OST-list order."""
         return np.array([o.fill_fraction for o in self.osts])
 
     # -- allocation ------------------------------------------------------------------
@@ -96,6 +102,7 @@ class LustreFilesystem:
         stripe_size: int | None = None,
         osts: tuple[int, ...] | None = None,
     ) -> StripeLayout:
+        """Build a stripe layout, allocating OSTs when none are given."""
         if osts is None:
             osts = self.choose_osts(stripe_count or self.default_stripe_count)
         else:
@@ -103,6 +110,40 @@ class LustreFilesystem:
                 if idx not in self._ost_by_index:
                     raise KeyError(f"OST {idx} not in file system {self.name}")
         return StripeLayout(osts=tuple(osts), stripe_size=stripe_size or self.default_stripe_size)
+
+    def _charge_growth(self, entry: FileEntry, nbytes: int) -> None:
+        """Allocate on each stripe's OST the bytes ``entry`` gains when it
+        grows by ``nbytes``."""
+        if entry.layout is None:
+            raise ValueError(f"{entry.path} has no layout")
+        old = entry.size
+        new_shares = entry.layout.ost_share(old + nbytes)
+        old_shares = entry.layout.ost_share(old)
+        for ost_index, total in new_shares.items():
+            delta = total - old_shares.get(ost_index, 0)
+            if delta > 0:
+                self._ost_by_index[ost_index].allocate(delta)
+
+
+class LustreFilesystem(OstPool):
+    """One namespace backed by a set of OSTs and a single MDS."""
+
+    def __init__(
+        self,
+        name: str,
+        osts: list[Ost],
+        mds: MetadataServer | None = None,
+        *,
+        default_stripe_count: int = 4,
+        default_stripe_size: int = MiB,
+        qos_threshold: float = 0.17,
+    ) -> None:
+        super().__init__(name, osts, default_stripe_count=default_stripe_count,
+                         default_stripe_size=default_stripe_size,
+                         qos_threshold=qos_threshold)
+        self.namespace = Namespace(name)
+        self.mds = mds or MetadataServer(MdsSpec(), name=f"{name}-mds")
+        self.mds_servers = (self.mds,)
 
     # -- file operations ---------------------------------------------------------------
 
@@ -135,16 +176,7 @@ class LustreFilesystem:
 
     def append(self, path: str, nbytes: int, now: float) -> FileEntry:
         """Grow a file, charging its stripes' OSTs."""
-        entry = self.namespace.get(path)
-        if entry.layout is None:
-            raise ValueError(f"{path} has no layout")
-        old = entry.size
-        new_shares = entry.layout.ost_share(old + nbytes)
-        old_shares = entry.layout.ost_share(old)
-        for ost_index, total in new_shares.items():
-            delta = total - old_shares.get(ost_index, 0)
-            if delta > 0:
-                self._ost_by_index[ost_index].allocate(delta)
+        self._charge_growth(self.namespace.get(path), nbytes)
         return self.namespace.write(path, nbytes, now)
 
     def read_file(self, path: str, now: float) -> FileEntry:

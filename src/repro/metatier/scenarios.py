@@ -77,18 +77,12 @@ class TinyFileSizes:
         return max(self._floor, min(self._ceiling, raw))
 
 
-class PerFileTier:
-    """The baseline: every tiny file is a real file on one MDS.
+class _Tier:
+    """What both tiers share: the logical counters, the directory and
+    overload verbs, and the metadata accounting over ``fs.mds_servers``
+    (one MDS on the baseline, one per shard on the aggregated tier)."""
 
-    ``create`` pays an MDS create, ``read`` pays the open-path getattr
-    plus the OST reads, ``delete`` pays an unlink, and the audit walk
-    stats every file — precisely the §IV-C traffic the aggregated tier
-    exists to remove.
-    """
-
-    name = "per-file"
-
-    def __init__(self, fs: LustreFilesystem) -> None:
+    def __init__(self, fs: LustreFilesystem | ShardedFilesystem) -> None:
         self.fs = fs
         self.logical_creates = 0
         self.logical_reads = 0
@@ -98,6 +92,47 @@ class PerFileTier:
     def mkdir(self, path: str, now: float) -> None:
         """Create one directory."""
         self.fs.mkdir(path, now)
+
+    def overload(self, shard: int, magnitude: float) -> None:
+        """An MDS-overload impulse (a recursive ``du`` storm) against one
+        metadata server."""
+        servers = self.fs.mds_servers
+        servers[shard % len(servers)].service_time(
+            OpMix(stats=int(50_000 * magnitude), mean_stripe_count=4.0))
+
+    @property
+    def osts(self) -> list:
+        """The backing OST pool (fault-plan target surface)."""
+        return self.fs.osts
+
+    @property
+    def fill_fraction(self) -> float:
+        """Backing-pool fill level (hot tier)."""
+        return self.fs.fill_fraction
+
+    def metadata_busy_makespan(self) -> float:
+        """Busiest server's MDS busy time — servers work in parallel."""
+        return max(server.busy_seconds for server in self.fs.mds_servers)
+
+    def metadata_busy_total(self) -> float:
+        """Total MDS-seconds summed over every metadata server."""
+        return sum(server.busy_seconds for server in self.fs.mds_servers)
+
+    def metadata_ops(self) -> int:
+        """Physical metadata operations served across the servers."""
+        return sum(server.ops_served for server in self.fs.mds_servers)
+
+
+class PerFileTier(_Tier):
+    """The baseline: every tiny file is a real file on one MDS.
+
+    ``create`` pays an MDS create, ``read`` pays the open-path getattr
+    plus the OST reads, ``delete`` pays an unlink, and the audit walk
+    stats every file — precisely the §IV-C traffic the aggregated tier
+    exists to remove.
+    """
+
+    name = "per-file"
 
     def create(self, path: str, size: int, now: float) -> None:
         """Create one tiny file (single-OST stripe, §VII best practice)."""
@@ -121,38 +156,11 @@ class PerFileTier:
         self.fs.mds.service_time(OpMix(stats=n_entries, mean_stripe_count=1))
         self.audit_examined += n_entries
 
-    def overload(self, shard: int, magnitude: float) -> None:
-        """An MDS-overload impulse (a recursive ``du`` storm)."""
-        self.fs.mds.service_time(
-            OpMix(stats=int(50_000 * magnitude), mean_stripe_count=4.0))
-
     def housekeep(self, now: float) -> None:
         """Per-tick background work: none on the baseline."""
 
-    @property
-    def osts(self) -> list:
-        """The backing OST pool (fault-plan target surface)."""
-        return self.fs.osts
 
-    def metadata_busy_makespan(self) -> float:
-        """Seconds the metadata service was busy, as a makespan."""
-        return self.fs.mds.busy_seconds
-
-    def metadata_busy_total(self) -> float:
-        """Total MDS-seconds across all metadata servers."""
-        return self.fs.mds.busy_seconds
-
-    def metadata_ops(self) -> int:
-        """Physical metadata operations served."""
-        return self.fs.mds.ops_served
-
-    @property
-    def fill_fraction(self) -> float:
-        """Backing-pool fill level."""
-        return self.fs.fill_fraction
-
-
-class AggregatedTier:
+class AggregatedTier(_Tier):
     """Needles + sharded residual namespace + warm migration.
 
     Tiny files become needles in segment files (zero per-file MDS ops);
@@ -173,20 +181,12 @@ class AggregatedTier:
         warm: WarmTier | None = None,
         seed: int = 0,
     ) -> None:
-        self.fs = fs
+        super().__init__(fs)
         self.directory = HaystackDirectory(stores, seed=seed)
         self.cache = NeedleCache(cache_hit_rate, seed=seed)
         self.warm = warm or WarmTier()
         self.migration = (AgeMigrationPolicy(migrate_age)
                           if migrate_age is not None else None)
-        self.logical_creates = 0
-        self.logical_reads = 0
-        self.logical_deletes = 0
-        self.audit_examined = 0
-
-    def mkdir(self, path: str, now: float) -> None:
-        """Create one directory in the sharded skeleton."""
-        self.fs.mkdir(path, now)
 
     def create(self, path: str, size: int, now: float) -> None:
         """Write one needle; the path becomes a logical ID, not an inode."""
@@ -213,15 +213,9 @@ class AggregatedTier:
         """Examine ``n_entries`` logical inodes: an in-memory index scan,
         plus one skeleton readdir per shard (the only MDS traffic)."""
         n_dirs = self.fs.namespace.n_dirs
-        for server in self.fs.namespace.servers:
+        for server in self.fs.mds_servers:
             server.service_time(OpMix(readdir_entries=n_dirs))
         self.audit_examined += n_entries
-
-    def overload(self, shard: int, magnitude: float) -> None:
-        """An MDS-overload impulse against one shard's MDT."""
-        server = self.fs.namespace.servers[shard % self.fs.namespace.n_shards]
-        server.service_time(
-            OpMix(stats=int(50_000 * magnitude), mean_stripe_count=4.0))
 
     def housekeep(self, now: float) -> None:
         """Per-tick background work: compaction, then warm migration."""
@@ -230,28 +224,6 @@ class AggregatedTier:
         if self.migration is not None:
             for store in self.directory.stores:
                 self.migration.sweep(store, self.warm, now)
-
-    @property
-    def osts(self) -> list:
-        """The backing OST pool (fault-plan target surface)."""
-        return self.fs.osts
-
-    def metadata_busy_makespan(self) -> float:
-        """Busiest shard's MDS busy time — shards serve in parallel."""
-        return self.fs.namespace.parallel_busy_seconds()
-
-    def metadata_busy_total(self) -> float:
-        """Total MDS-seconds summed over every shard."""
-        return sum(self.fs.namespace.busy_seconds())
-
-    def metadata_ops(self) -> int:
-        """Physical metadata operations served across the shards."""
-        return self.fs.namespace.total_ops()
-
-    @property
-    def fill_fraction(self) -> float:
-        """Backing-pool fill level (hot tier)."""
-        return self.fs.fill_fraction
 
 
 @dataclass

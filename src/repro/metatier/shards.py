@@ -22,12 +22,12 @@ pins this ("ingest-order independence").
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from typing import Iterator
 
 import numpy as np
 
+from repro.lustre.filesystem import OstPool
 from repro.lustre.mds import MdsSpec, MetadataServer, OpMix
 from repro.lustre.namespace import (
     FileEntry,
@@ -106,10 +106,16 @@ class ShardedNamespace:
         return entry
 
     def unlink(self, path: str) -> FileEntry:
-        """Remove an entry: files from their shard, directories from all."""
+        """Remove an entry: files from their shard, directories from all.
+
+        A directory's files live on one shard, so emptiness is checked on
+        every shard before any shard's skeleton changes.
+        """
         shard = self.shard_of(path)
         entry = self.shards[shard].get(path)
         if entry.is_dir:
+            if any(ns.listdir(path) for ns in self.shards):
+                raise NamespaceError(f"directory not empty: {path}")
             for ns in self.shards:
                 ns.unlink(path)
         else:
@@ -123,25 +129,28 @@ class ShardedNamespace:
 
         Same shard: a two-dentry rename on one MDT.  Cross shard: the
         link + unlink + create sequence Lustre's DNE performs, charged
-        to both participating MDTs.
+        to both participating MDTs.  A hard-link dentry keeps its link
+        record under the new path.
         """
         src = self.shard_of(old)
         dst = self.shard_of(new)
         if src == dst:
-            entry = self.shards[src].rename(old, new, now)
+            moved = self.shards[src].rename(old, new, now)
             self.servers[src].service_time(OpMix(renames=1))
-            return entry
-        entry = self.shards[src].get(old)
-        if entry.is_dir:
-            raise NamespaceError(f"cannot rename a directory: {old}")
-        self.shards[src].unlink(old)
-        moved = self.shards[dst].create(
-            new, entry.layout, now, size=entry.size,
-            owner=entry.owner, project=entry.project)
-        moved.atime, moved.mtime = entry.atime, entry.mtime
-        self.servers[src].service_time(OpMix(renames=1, unlinks=1))
-        self.servers[dst].service_time(OpMix(creates=1, links=1))
-        self.cross_shard_renames += 1
+        else:
+            entry = self.shards[src].get(old)
+            if entry.is_dir:
+                raise NamespaceError(f"cannot rename a directory: {old}")
+            self.shards[src].unlink(old)
+            moved = self.shards[dst].create(
+                new, entry.layout, now, size=entry.size,
+                owner=entry.owner, project=entry.project)
+            moved.atime, moved.mtime = entry.atime, entry.mtime
+            self.servers[src].service_time(OpMix(renames=1, unlinks=1))
+            self.servers[dst].service_time(OpMix(creates=1, links=1))
+            self.cross_shard_renames += 1
+        if old in self.link_targets:
+            self.link_targets[new] = self.link_targets.pop(old)
         return moved
 
     def link(self, target: str, new: str, now: float) -> FileEntry:
@@ -235,19 +244,6 @@ class ShardedNamespace:
 
     # -- load accounting ---------------------------------------------------
 
-    def busy_seconds(self) -> list[float]:
-        """Per-shard MDS busy time so far."""
-        return [server.busy_seconds for server in self.servers]
-
-    def parallel_busy_seconds(self) -> float:
-        """Metadata-service makespan: shards serve in parallel, so the
-        busiest shard sets the pace."""
-        return max(self.busy_seconds())
-
-    def total_ops(self) -> int:
-        """Metadata operations served across all shards."""
-        return sum(server.ops_served for server in self.servers)
-
     def balance(self) -> float:
         """Jain fairness of per-shard op counts (1.0 = perfectly even)."""
         loads = np.array([server.ops_served for server in self.servers],
@@ -258,13 +254,13 @@ class ShardedNamespace:
         return float(total ** 2 / (self.n_shards * (loads ** 2).sum()))
 
 
-class ShardedFilesystem:
+class ShardedFilesystem(OstPool):
     """A file system over a :class:`ShardedNamespace` and a shared OST pool.
 
-    Quacks like :class:`repro.lustre.filesystem.LustreFilesystem` where
-    the tools need it (``namespace``, ``unlink``, ``fill_fraction``,
-    ``scan_cost``) so the purger and LustreDU ride the sharded namespace
-    unchanged.
+    Shares :class:`repro.lustre.filesystem.OstPool` with
+    :class:`repro.lustre.filesystem.LustreFilesystem` and offers the same
+    file verbs, ``namespace`` and ``mds_servers``, so the purger and
+    LustreDU ride the sharded namespace unchanged.
     """
 
     def __init__(
@@ -278,72 +274,11 @@ class ShardedFilesystem:
         default_stripe_size: int = MiB,
         qos_threshold: float = 0.17,
     ) -> None:
-        if not osts:
-            raise ValueError("a file system needs at least one OST")
-        if default_stripe_count < 1:
-            raise ValueError("default_stripe_count must be >= 1")
-        self.name = name
+        super().__init__(name, osts, default_stripe_count=default_stripe_count,
+                         default_stripe_size=default_stripe_size,
+                         qos_threshold=qos_threshold)
         self.namespace = ShardedNamespace(name, n_shards, spec=mds_spec)
-        self.osts = list(osts)
-        self.default_stripe_count = min(default_stripe_count, len(osts))
-        self.default_stripe_size = default_stripe_size
-        self.qos_threshold = qos_threshold
-        self._rr = itertools.cycle(range(len(self.osts)))
-        self._ost_by_index = {ost.index: ost for ost in self.osts}
-
-    # -- capacity ----------------------------------------------------------
-
-    @property
-    def capacity_bytes(self) -> int:
-        return sum(o.spec.capacity_bytes for o in self.osts)
-
-    @property
-    def used_bytes(self) -> int:
-        return sum(o.used_bytes for o in self.osts)
-
-    @property
-    def fill_fraction(self) -> float:
-        return self.used_bytes / self.capacity_bytes
-
-    def ost(self, index: int) -> Ost:
-        """Look up one OST by global index."""
-        return self._ost_by_index[index]
-
-    def fill_fractions(self) -> np.ndarray:
-        """Per-OST fill levels, in OST-list order."""
-        return np.array([o.fill_fraction for o in self.osts])
-
-    # -- allocation --------------------------------------------------------
-
-    def choose_osts(self, stripe_count: int) -> tuple[int, ...]:
-        """QOS-allocator OST choice: round robin while balanced, weighted
-        toward free space past ``qos_threshold`` imbalance."""
-        stripe_count = min(stripe_count, len(self.osts))
-        fills = self.fill_fractions()
-        if fills.max() - fills.min() <= self.qos_threshold:
-            start = next(self._rr)
-            return tuple(
-                self.osts[(start + i) % len(self.osts)].index
-                for i in range(stripe_count)
-            )
-        order = np.argsort(fills)
-        return tuple(self.osts[i].index for i in order[:stripe_count])
-
-    def layout_for(
-        self,
-        stripe_count: int | None = None,
-        stripe_size: int | None = None,
-        osts: tuple[int, ...] | None = None,
-    ) -> StripeLayout:
-        """Build a stripe layout, allocating OSTs when none are given."""
-        if osts is None:
-            osts = self.choose_osts(stripe_count or self.default_stripe_count)
-        else:
-            for idx in osts:
-                if idx not in self._ost_by_index:
-                    raise KeyError(f"OST {idx} not in file system {self.name}")
-        return StripeLayout(osts=tuple(osts),
-                            stripe_size=stripe_size or self.default_stripe_size)
+        self.mds_servers = tuple(self.namespace.servers)
 
     # -- file operations ---------------------------------------------------
 
@@ -366,16 +301,7 @@ class ShardedFilesystem:
 
     def append(self, path: str, nbytes: int, now: float) -> FileEntry:
         """Grow a file, charging its stripes' OSTs."""
-        entry = self.namespace.get(path)
-        if entry.layout is None:
-            raise ValueError(f"{path} has no layout")
-        old = entry.size
-        new_shares = entry.layout.ost_share(old + nbytes)
-        old_shares = entry.layout.ost_share(old)
-        for ost_index, total in new_shares.items():
-            delta = total - old_shares.get(ost_index, 0)
-            if delta > 0:
-                self._ost_by_index[ost_index].allocate(delta)
+        self._charge_growth(self.namespace.get(path), nbytes)
         return self.namespace.write(path, nbytes, now)
 
     def read_file(self, path: str, now: float) -> FileEntry:
@@ -425,6 +351,6 @@ class ShardedFilesystem:
                                / server_scan_speedup))
         times = [
             server.service_time(OpMix(readdir_entries=per_shard))
-            for server in self.namespace.servers
+            for server in self.mds_servers
         ]
         return max(times)

@@ -8,7 +8,7 @@ Design notes
 * Processes are generator coroutines that ``yield`` delays (floats) or
   :class:`Event` handles to wait on.  This is the same coroutine style as
   SimPy, reimplemented minimally so the package has no runtime dependency
-  beyond numpy/scipy/networkx.
+  beyond numpy.
 * The engine never advances past ``horizon`` in :meth:`Engine.run`, so
   long-running periodic processes (monitoring checks, purge cycles) do not
   hang a simulation.

@@ -9,6 +9,7 @@ this module on every push (see .github/workflows/ci.yml).
 from __future__ import annotations
 
 import argparse
+import re
 from pathlib import Path
 
 from repro.cli import build_parser
@@ -60,6 +61,21 @@ def test_every_package_in_readme_tree():
     missing = [pkg for pkg in _repro_packages() if f"{pkg}/" not in readme]
     assert not missing, (
         f"README.md \"What's inside\" tree is missing package(s) {missing}")
+
+
+def test_every_runtime_dependency_is_imported():
+    """pyproject.toml declares only what src/repro imports.  A regex
+    reads it because Python 3.10, which CI also runs, has no tomllib."""
+    pyproject = (REPO / "pyproject.toml").read_text()
+    declared = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
+    assert declared, "pyproject.toml has no [project] dependencies list"
+    names = re.findall(r'"([A-Za-z0-9_.-]+)', declared.group(1))
+    source = "\n".join(p.read_text()
+                       for p in (REPO / "src" / "repro").rglob("*.py"))
+    unused = [name for name in names if not re.search(
+        rf"^\s*(?:import|from) {re.escape(name)}\b", source, re.M)]
+    assert names and not unused, (
+        f"pyproject.toml declares dependencies no module imports: {unused}")
 
 
 def test_sched_subsystem_documented_everywhere():

@@ -4,10 +4,15 @@ headline content.  These are the living documentation — they must not rot.
 
 import runpy
 import sys
+from pathlib import Path
 
 import pytest
 
+REPO = Path(__file__).resolve().parent.parent
+
 EXAMPLES = {
+    "chaos_week": ("examples/chaos_week.py",
+                   ("Recorded totals", "wrote chaos_week_trace.json")),
     "quickstart": ("examples/quickstart.py",
                    ("Inventory", "layer", "client scaling")),
     "checkpoint_campaign": ("examples/checkpoint_campaign.py",
@@ -34,13 +39,20 @@ SLOW_EXAMPLES = {
 }
 
 
+#: files an example writes into its working directory
+ARTIFACTS = {"chaos_week": ("chaos_week_trace.json",)}
+
+
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
-def test_example_runs(name, capsys):
+def test_example_runs(name, capsys, monkeypatch, tmp_path):
     path, expectations = EXAMPLES[name]
-    runpy.run_path(path, run_name="__main__")
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(REPO / path), run_name="__main__")
     out = capsys.readouterr().out
     for needle in expectations:
         assert needle in out, f"{path} output lacks {needle!r}"
+    for artifact in ARTIFACTS.get(name, ()):
+        assert (tmp_path / artifact).is_file(), f"{path} wrote no {artifact}"
 
 
 @pytest.mark.parametrize("name", sorted(SLOW_EXAMPLES))

@@ -223,6 +223,10 @@ class TestDirectoryAndCache:
             NeedleCache(1.5)
 
 
+def _ops(sns: ShardedNamespace) -> int:
+    return sum(server.ops_served for server in sns.servers)
+
+
 class TestShardedNamespace:
     def test_shard_key_is_stable_and_colocates_siblings(self):
         assert shard_key("/a/b/f1", 4) == shard_key("/a/b/f2", 4)
@@ -234,9 +238,9 @@ class TestShardedNamespace:
         sns.mkdir("/proj", 0.0)
         from repro.lustre.namespace import StripeLayout
         layout = StripeLayout(osts=(0,))
-        before = sns.busy_seconds()
+        before = [s.busy_seconds for s in sns.servers]
         sns.create("/proj/f", layout, 1.0)
-        deltas = [b - a for a, b in zip(before, sns.busy_seconds())]
+        deltas = [s.busy_seconds - b for s, b in zip(sns.servers, before)]
         owner = sns.shard_of("/proj/f")
         assert deltas[owner] > 0
         assert all(d == 0.0 for i, d in enumerate(deltas) if i != owner)
@@ -258,10 +262,10 @@ class TestShardedNamespace:
         layout = StripeLayout(osts=(0,))
         sns.mkdir("/d", 0.0)
         sns.create("/d/a", layout, 0.0)
-        ops_before = sns.total_ops()
+        ops_before = _ops(sns)
         sns.rename("/d/a", "/d/b", 1.0)
         assert sns.cross_shard_renames == 0
-        assert sns.total_ops() - ops_before == 1
+        assert _ops(sns) - ops_before == 1
         assert "/d/b" in sns and "/d/a" not in sns
 
     def test_cross_shard_rename_pays_the_dne_transaction(self):
@@ -278,11 +282,11 @@ class TestShardedNamespace:
         sns.mkdir(src_dir, 0.0)
         sns.mkdir(dst_dir, 0.0)
         sns.create(f"{src_dir}/f", layout, 1.0)
-        ops_before = sns.total_ops()
+        ops_before = _ops(sns)
         moved = sns.rename(f"{src_dir}/f", f"{dst_dir}/f", 2.0)
         assert sns.cross_shard_renames == 1
         # link + unlink + create + rename bookkeeping: 4 ops, two shards.
-        assert sns.total_ops() - ops_before == 4
+        assert _ops(sns) - ops_before == 4
         assert moved.path == f"{dst_dir}/f"
         assert f"{src_dir}/f" not in sns
         # atime/mtime survive the move (it is a rename, not a rewrite).
@@ -311,6 +315,18 @@ class TestShardedNamespace:
         assert link.size == 0  # dentry only; capacity stays with target
         assert sns.link_targets[f"{other_dir}/l"] == f"{home_dir}/t"
 
+    def test_failed_rmdir_leaves_every_shard_unchanged(self):
+        sns = ShardedNamespace("t", n_shards=4)
+        from repro.lustre.namespace import StripeLayout
+        sns.mkdir("/d", 0.0)
+        sns.create("/d/f", StripeLayout(osts=(0,)), 0.0)
+        assert sns.shard_of("/d/f") == 3  # after shards 0-2 in unlink order
+        with pytest.raises(NamespaceError, match="not empty"):
+            sns.unlink("/d")
+        assert all("/d" in ns for ns in sns.shards)
+        assert [ns.n_dirs for ns in sns.shards] == [2] * 4
+        assert "/d" in sns and "/d/f" in sns and sns.n_dirs == 2
+
     def test_files_iteration_has_no_duplicates(self):
         sns = ShardedNamespace("t", n_shards=3)
         from repro.lustre.namespace import StripeLayout
@@ -324,10 +340,16 @@ class TestShardedNamespace:
         assert sns.n_files == 20
 
     def test_parallel_busy_is_max_and_balance_in_range(self):
-        sns = ShardedNamespace("t", n_shards=3)
+        fs = make_sharded(n_shards=3)
+        tier = AggregatedTier(fs, [SegmentStore(fs, spec=small_spec())])
+        sns = fs.namespace
+        ops_before = tier.metadata_ops()
         sns.servers[0].service_time(OpMix(creates=100))
         sns.servers[1].service_time(OpMix(creates=300))
-        assert sns.parallel_busy_seconds() == max(sns.busy_seconds())
+        busy = [s.busy_seconds for s in sns.servers]
+        assert tier.metadata_busy_makespan() == max(busy) == busy[1]
+        assert tier.metadata_busy_total() == sum(busy)
+        assert tier.metadata_ops() - ops_before == 400
         assert 0.0 < sns.balance() <= 1.0
         empty = ShardedNamespace("e", n_shards=3)
         assert empty.balance() == 1.0
@@ -355,6 +377,21 @@ class TestShardedFilesystem:
         fs.unlink("/d/a")
         assert fs.used_bytes == 0
 
+    def test_renamed_link_dentry_keeps_its_link_record(self):
+        fs = make_sharded(n_shards=4)
+        fs.mkdir("/d", 0.0)
+        fs.mkdir("/e", 0.0)
+        fs.create_file("/d/a", 0.0, size=4 * MiB)
+        fs.namespace.link("/d/a", "/d/l", 1.0)
+        fs.rename("/d/l", "/d/l1", 2.0)       # same shard
+        assert fs.namespace.shard_of("/e/l2") != fs.namespace.shard_of("/d/l1")
+        fs.rename("/d/l1", "/e/l2", 3.0)      # cross shard
+        assert fs.namespace.link_targets == {"/e/l2": "/d/a"}
+        ost = fs.ost(fs.namespace.get("/d/a").layout.osts[0])
+        used, objects = fs.used_bytes, ost.n_objects
+        fs.unlink("/e/l2")
+        assert (fs.used_bytes, ost.n_objects) == (used, objects) == (4 * MiB, 1)
+
     def test_scan_cost_is_parallel_across_shards(self):
         sharded = make_sharded(n_shards=4)
         single = make_fs()
@@ -364,7 +401,7 @@ class TestShardedFilesystem:
         # 4 shards scan in parallel: makespan ~ 1/4 of the single MDS.
         assert t_sharded < t_single / 3.0
         # And every shard was charged its share.
-        assert all(b > 0 for b in sharded.namespace.busy_seconds())
+        assert all(s.busy_seconds > 0 for s in sharded.mds_servers)
 
     def test_du_spreads_stats_over_shards(self):
         fs = make_sharded(n_shards=3)

@@ -1,18 +1,23 @@
 """LustreDU and parallel-tool tests: the Lesson 19 cost asymmetries."""
 
+from functools import partial
+
 import pytest
 
 from repro.lustre.filesystem import LustreFilesystem
 from repro.lustre.ost import Ost, OstSpec
+from repro.metatier.shards import ShardedFilesystem
 from repro.tools.lustredu import LustreDu, client_du_cost
 from repro.tools.ptools import ParallelTool, SerialTool, ToolComparison
 from repro.units import DAY, MiB, TB
 
+#: the same OSTs and stripe count, with the namespace over three MDTs
+SHARDED = partial(ShardedFilesystem, n_shards=3, default_stripe_count=4)
 
-@pytest.fixture
-def fs():
+
+def _populated(make=LustreFilesystem):
     osts = [Ost(i, OstSpec(capacity_bytes=16 * TB)) for i in range(8)]
-    fs = LustreFilesystem("testfs", osts)
+    fs = make("testfs", osts)
     fs.mkdir("/projA", now=0.0)
     fs.mkdir("/projB", now=0.0)
     for i in range(200):
@@ -20,6 +25,11 @@ def fs():
         fs.create_file(f"/{proj}/f{i:03d}", now=float(i), size=(i + 1) * MiB,
                        owner=f"user{i % 3}", project=proj)
     return fs
+
+
+@pytest.fixture
+def fs():
+    return _populated()
 
 
 class TestLustreDu:
@@ -61,13 +71,24 @@ class TestLustreDu:
     def test_queries_cost_no_mds_time(self, fs):
         du = LustreDu(fs)
         du.sweep(now=0.0)
-        before = fs.mds.busy_seconds
+        before = [server.busy_seconds for server in fs.mds_servers]
         du.query(project="projA")
-        assert fs.mds.busy_seconds == before
+        assert [server.busy_seconds for server in fs.mds_servers] == before
 
     def test_validation(self, fs):
         with pytest.raises(ValueError):
             LustreDu(fs, sweep_interval=0)
+
+
+class TestLustreDuOnShards(TestLustreDu):
+    """The sweep and query checks on the sharded file system."""
+
+    @pytest.fixture
+    def fs(self):
+        return _populated(SHARDED)
+
+    # client_du_cost reads the single ``fs.mds``
+    test_sweep_cheaper_than_client_du = None
 
 
 class TestParallelTools:
@@ -122,9 +143,9 @@ class TestSweepOrderingDeterminism:
     the namespace in sorted order, so even the *iteration order* of the
     aggregation dicts is pinned (same first-seen sequence)."""
 
-    def _build(self, order):
+    def _build(self, order, make=LustreFilesystem):
         osts = [Ost(i, OstSpec(capacity_bytes=16 * TB)) for i in range(4)]
-        fs = LustreFilesystem("perm", osts)
+        fs = make("perm", osts)
         for proj in ("projA", "projB", "projC"):
             fs.mkdir(f"/{proj}", now=0.0)
         for i in order:
@@ -136,13 +157,16 @@ class TestSweepOrderingDeterminism:
 
     def test_snapshot_identical_across_insertion_permutations(self):
         base = list(range(30))
-        ref = LustreDu(self._build(base)).sweep(now=DAY)
-        for order in (list(reversed(base)),
-                      base[1::2] + base[0::2],
-                      base[15:] + base[:15]):
-            snap = LustreDu(self._build(order)).sweep(now=DAY)
-            assert snap == ref
-            # Insertion-order-sensitive surface: dict iteration order.
-            assert list(snap.bytes_by_top_dir) == list(ref.bytes_by_top_dir)
-            assert list(snap.bytes_by_owner) == list(ref.bytes_by_owner)
-            assert list(snap.bytes_by_project) == list(ref.bytes_by_project)
+        orders = (list(reversed(base)), base[1::2] + base[0::2],
+                  base[15:] + base[:15])
+        for make in (LustreFilesystem, SHARDED):
+            ref = LustreDu(self._build(base, make)).sweep(now=DAY)
+            for order in orders:
+                snap = LustreDu(self._build(order, make)).sweep(now=DAY)
+                assert snap == ref
+                # Insertion-order-sensitive surface: dict iteration order.
+                assert (list(snap.bytes_by_top_dir)
+                        == list(ref.bytes_by_top_dir))
+                assert list(snap.bytes_by_owner) == list(ref.bytes_by_owner)
+                assert (list(snap.bytes_by_project)
+                        == list(ref.bytes_by_project))

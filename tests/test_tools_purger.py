@@ -1,19 +1,29 @@
 """Purge engine tests: the 14-day policy and its invariants."""
 
+from functools import partial
+
 import pytest
 
 from repro.lustre.filesystem import LustreFilesystem
 from repro.lustre.ost import Ost, OstSpec
+from repro.metatier.shards import ShardedFilesystem
 from repro.tools.purger import Purger
 from repro.units import DAY, MiB, TB
+
+#: the same OSTs and stripe count, with the namespace over three MDTs
+SHARDED = partial(ShardedFilesystem, n_shards=3, default_stripe_count=4)
+
+
+def _scratch(make=LustreFilesystem):
+    osts = [Ost(i, OstSpec(capacity_bytes=1 * TB)) for i in range(4)]
+    fs = make("scratch", osts)
+    fs.mkdir("/u", now=0.0)
+    return fs
 
 
 @pytest.fixture
 def fs():
-    osts = [Ost(i, OstSpec(capacity_bytes=1 * TB)) for i in range(4)]
-    fs = LustreFilesystem("scratch", osts)
-    fs.mkdir("/u", now=0.0)
-    return fs
+    return _scratch()
 
 
 class TestEligibility:
@@ -98,6 +108,8 @@ class TestStreamingSweep:
     (including mid-walk drains) yields the identical PurgeReport and final
     namespace as the collect-everything-first behaviour."""
 
+    make_fs = LustreFilesystem
+
     def _populate(self, fs, n=137):
         # Mix of eligible (old), protected (fresh), and exempt-by-test files
         # spread over several directories so drains happen mid-directory
@@ -110,9 +122,7 @@ class TestStreamingSweep:
             fs.create_file(f"{d}/f{i:03d}", now=age, size=(i + 1) * MiB)
 
     def _make(self, batch_size):
-        osts = [Ost(i, OstSpec(capacity_bytes=1 * TB)) for i in range(4)]
-        fs = LustreFilesystem("scratch", osts)
-        fs.mkdir("/u", now=0.0)
+        fs = _scratch(self.make_fs)
         self._populate(fs)
         return fs, Purger(fs, batch_size=batch_size)
 
@@ -147,3 +157,25 @@ class TestStreamingSweep:
         purger.sweep(now=now)
         for entry in fs.namespace.files():
             assert now - entry.last_touched() <= purger.age_limit
+
+
+class _OnShards:
+    """Reruns a test class on the sharded file system."""
+
+    make_fs = SHARDED
+
+    @pytest.fixture
+    def fs(self):
+        return _scratch(self.make_fs)
+
+
+class TestEligibilityOnShards(_OnShards, TestEligibility):
+    pass
+
+
+class TestSweepOnShards(_OnShards, TestSweep):
+    pass
+
+
+class TestStreamingSweepOnShards(_OnShards, TestStreamingSweep):
+    pass
