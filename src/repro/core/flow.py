@@ -110,7 +110,7 @@ class FlowResult:
 
     __slots__ = (
         "rates", "flow_names", "bottlenecks", "rounds", "saturation_order",
-        "_comp_names", "_n_comp", "_load_arr", "_cap_arr",
+        "_comp_names", "_comp_id", "_n_comp", "_load_arr", "_cap_arr",
         "_load_dict", "_cap_dict",
     )
 
@@ -119,6 +119,7 @@ class FlowResult:
         rates: np.ndarray,
         flow_names: list[str],
         comp_names: list[str],
+        comp_id: dict[str, int],
         load_arr: np.ndarray,
         cap_arr: np.ndarray,
         bottlenecks: dict[str, float],
@@ -134,6 +135,7 @@ class FlowResult:
         #: binding bottleneck the filling hit first)
         self.saturation_order = saturation_order
         self._comp_names = comp_names
+        self._comp_id = comp_id
         self._n_comp = len(comp_names)
         self._load_arr = load_arr
         self._cap_arr = cap_arr
@@ -183,6 +185,33 @@ class FlowResult:
         if math.isinf(cap):
             return 0.0
         return self.component_load[component] / cap
+
+    def component_ids(self, names) -> np.ndarray:
+        """Index of each of ``names`` in this result's component arrays
+        (-1 where unknown), for :meth:`utilizations`.  Every result of
+        one network shares the network's name index, so the ids stay
+        valid for that network's later results."""
+        comp_id = self._comp_id
+        return np.array([comp_id.get(name, -1) for name in names],
+                        dtype=np.intp)
+
+    def utilizations(self, ids: np.ndarray) -> np.ndarray:
+        """:meth:`utilization` of many components at once, as one array.
+
+        ``ids`` come from :meth:`component_ids` on a result of the same
+        network; an id of -1 (unknown) or past this snapshot reads 0.0.
+        Element for element the same float as :meth:`utilization`.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        out = np.zeros(ids.shape[0])
+        known = (ids >= 0) & (ids < self._n_comp)
+        cap = self._cap_arr[ids[known]]
+        load = self._load_arr[ids[known]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            util = np.where(cap == 0, (load > 0).astype(float), load / cap)
+        util[np.isinf(cap)] = 0.0
+        out[known] = util
+        return out
 
 
 class _FlowRec:
@@ -1036,6 +1065,7 @@ class FlowNetwork:
             rates=self._rates[:n].copy(),
             flow_names=list(self._flows),
             comp_names=self._comp_names,
+            comp_id=self._comp_id,
             load_arr=self._load[:m].copy(),
             cap_arr=self._caps[:m].copy(),
             bottlenecks=dict(self._bottlenecks),

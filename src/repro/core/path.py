@@ -89,6 +89,10 @@ class PathBuilder:
         self._resolved_transfers: list[Transfer] | None = None
         self._routing_fp: bytes | None = None
         self._last_result: FlowResult | None = None
+        # link_utilizations' component indices into the network that
+        # produced _last_result, keyed by component tuple; dropped when
+        # resolve() rebuilds the network
+        self._util_ids: dict[tuple[str, ...], np.ndarray] = {}
         # solve counts of networks this builder has retired; rebuilds swap
         # in a fresh FlowNetwork, so the property below folds these in to
         # stay cumulative across the builder's lifetime
@@ -235,6 +239,7 @@ class PathBuilder:
             self._net = self.build(transfers)
             self._resolved_transfers = transfers
             self._routing_fp = fp
+            self._util_ids = {}
         else:
             self._refresh_capacities(self._net)
         result = self._net.solve()
@@ -301,17 +306,21 @@ class PathBuilder:
     def class_cap(self, qos_class: str) -> float:
         return self._class_caps.get(qos_class, math.inf)
 
-    def link_utilization(self, component: str) -> float:
-        """Utilization of ``component`` in the most recent resolve, 0.0 if
-        unknown — the surface the overlay's routing probes sample, so the
-        adaptive policy observes solver outcomes only through the
-        monitoring path (windowed, delayed, lossy), never directly."""
-        if self._last_result is None:
-            return 0.0
-        try:
-            return float(self._last_result.utilization(component))
-        except KeyError:
-            return 0.0
+    def link_utilizations(self, components) -> np.ndarray:
+        """Utilization of each of ``components`` in the most recent
+        resolve, as one array (0.0 where unknown) — the surface the
+        overlay's routing probe group samples, so the adaptive policy
+        observes solver outcomes only through the monitoring path
+        (windowed, delayed, lossy), never directly.  The component
+        indices are looked up once per component tuple and network."""
+        key = tuple(components)
+        result = self._last_result
+        if result is None:
+            return np.zeros(len(key))
+        ids = self._util_ids.get(key)
+        if ids is None:
+            ids = self._util_ids[key] = result.component_ids(key)
+        return result.utilizations(ids)
 
     def record_flow_telemetry(self, result: FlowResult, duration: float) -> None:
         """Attribute a solved allocation back to the layers it crossed.

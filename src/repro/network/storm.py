@@ -218,21 +218,26 @@ def _storm_ost_indices(system: "SpiderSystem", stripe: int) -> tuple[int, ...]:
 
 
 def _watched_components(system: "SpiderSystem",
-                        clients: list[Client]) -> list[str]:
+                        clients: list[Client]) -> tuple[str, ...]:
     """Every component a storm path could cross, under any equal-cost
     choice: all serving routers plus the torus links of every (client,
     router, axis order) candidate path.  This is the probe surface the
-    overlay samples — a superset, so re-hash targets are observed too."""
-    comps: set[str] = set()
+    overlay samples — a superset, so re-hash targets are observed too.
+
+    A path depends only on its end coordinates, so each distinct (client
+    coordinate, router coordinate) pair is routed once, and each link is
+    named once."""
     torus = system.torus
-    for router in system.routers:
-        comps.add(f"router:{router.name}")
-        for client in clients:
+    router_coords = sorted({router.coord for router in system.routers})
+    client_coords = sorted({client.coord for client in clients})
+    links = set()
+    for dst in router_coords:
+        for src in client_coords:
             for order in AXIS_ORDERS:
-                for link in torus.route_links_ordered(
-                        client.coord, router.coord, order):
-                    comps.add(Torus3D.link_component(link))
-    return sorted(comps)
+                links.update(torus.route_links_ordered(src, dst, order))
+    comps = {f"router:{router.name}" for router in system.routers}
+    comps.update(Torus3D.link_component(link) for link in sorted(links))
+    return tuple(sorted(comps))
 
 
 def _run_arm(
@@ -264,7 +269,7 @@ def _run_arm(
     watched = _watched_components(system, [probe] + storm_clients)
     overlay = MonitoringOverlay(
         system, overlay_config,
-        extra_probes=routing_probes(builder, watched))
+        extra_probes=[routing_probes(builder, watched)])
 
     engine = Engine()
     overlay.attach(engine)
@@ -290,7 +295,7 @@ def _run_arm(
         transfers = current[0]
         result = builder.resolve(transfers)
         probe_rate = builder.transfer_rates(result, transfers)["probe"]
-        victim = max(builder.link_utilization(comp) for comp in watched)
+        victim = builder.link_utilizations(watched).max()
         samples.append(StormSample(
             time=now,
             probe_rate=float(probe_rate),

@@ -29,7 +29,9 @@ from repro.obs.overlay.config import OverlayConfig
 from repro.obs.overlay.observed import ObservedDetector, resolver_for_system
 from repro.obs.overlay.runtime import MonitoringOverlay, OverlayOutcome
 from repro.obs.overlay.scraper import (
+    Batch,
     Probe,
+    ProbeGroup,
     Sample,
     Scraper,
     probes_for_system,
@@ -41,6 +43,7 @@ __all__ = [
     "AggregationTree",
     "Alert",
     "AlertEngine",
+    "Batch",
     "BurnRateRule",
     "CollectorSink",
     "MonitoringOverlay",
@@ -48,6 +51,7 @@ __all__ = [
     "OverlayConfig",
     "OverlayOutcome",
     "Probe",
+    "ProbeGroup",
     "Rollup",
     "Sample",
     "Scraper",

@@ -139,10 +139,16 @@ class AlertEngine:
             Alerts fired this window (also appended to :attr:`alerts`).
         """
         fired = []
+        # Group the view by metric once: each rule walks only its own
+        # metric's sources, in sorted order.
+        ruled = {rule.metric for rule in self.threshold_rules}
+        by_metric: dict[str, list[str]] = {}
+        for metric, source in view:
+            if metric in ruled:
+                by_metric.setdefault(metric, []).append(source)
         for rule in self.threshold_rules:
-            for metric, source in sorted(view):
-                if metric != rule.metric:
-                    continue
+            metric = rule.metric
+            for source in sorted(by_metric.get(metric, ())):
                 value, _sampled_at = view[(metric, source)]
                 key = (rule.name, source)
                 if rule.breached(value):

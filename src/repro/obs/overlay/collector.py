@@ -1,7 +1,7 @@
 """The root collector: windowed rollups, staleness tagging, MELT bridge.
 
 Batches arriving from the aggregation tree buffer until the window
-closes; each close folds the buffered samples into one :class:`Rollup`
+closes; each close folds the buffered rows into one :class:`Rollup`
 per canonical (``mon.``-prefixed) metric — sample counts, staleness
 counts, and the mean/max/p99 of the freshest per-source values, plus a
 rate for counter probes — and streams them into a
@@ -10,15 +10,22 @@ rate for counter probes — and streams them into a
 
 Two invariants the test suite enforces:
 
-* **Ingest-order independence** — folds operate on samples sorted by
+* **Ingest-order independence** — folds operate on rows sorted by
   ``(metric, source, sampled_at, value)`` and per-source freshness is a
   max, so delivering the same window's batches in any order produces
-  bit-identical rollups (the same boundary contract as the PR 5
+  bit-identical rollups (the same boundary contract as the
   ``LustreHealthChecker`` partition).
 * **Telemetry neutrality** — only ``mon.`` metrics enter rollups;
   mirrored telemetry gauges update the overlay-view gauges (the
   Lesson-12 lag column) and nothing else, so rollups are bit-identical
   with the registry enabled or disabled.
+
+The fold is columnar: every ``(metric, source)`` key gets an integer
+code once, each batch's key tuple maps to a cached code array once, and
+a window close is one stable ``np.lexsort`` over (key rank,
+``sampled_at``, value) of all buffered rows — the freshest row per key
+is the last of its run.  Sums stay Python ``sum`` over ascending value
+lists, so each rollup is the same float the row-by-row fold produced.
 """
 
 from __future__ import annotations
@@ -26,10 +33,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.obs.instruments import get_telemetry
 from repro.obs.trace import get_tracer
 
-from repro.obs.overlay.scraper import PROBE_PREFIX, Sample
+from repro.obs.overlay.scraper import PROBE_PREFIX, Batch, Sample
 
 __all__ = ["Rollup", "CollectorSink"]
 
@@ -99,7 +108,8 @@ class CollectorSink:
         self.n_windows = 0
         self.n_samples = 0
         self.n_stale = 0
-        self._buffer: list[Sample] = []
+        self._buffer: list[Batch] = []
+        self._latest: list[Rollup] = []
         #: freshest delivered (value, sampled_at) per canonical
         #: (metric, source) — the overlay's current belief
         self._view: dict[tuple[str, str], tuple[float, float]] = {}
@@ -108,81 +118,115 @@ class CollectorSink:
         self._mirror: dict[tuple[str, str], tuple[float, float]] = {}
         #: previous window's (close time, summed value) per counter metric
         self._counter_last: dict[str, tuple[float, float]] = {}
+        # Key registry: code -> (metric, source), its metric's id and
+        # whether it is canonical; code -> rank in sorted key order is
+        # rebuilt whenever new keys arrive.
+        self._code: dict[tuple[str, str], int] = {}
+        self._keys: list[tuple[str, str]] = []
+        self._metric_id: dict[str, int] = {}
+        self._key_metric: list[int] = []
+        self._key_canonical: list[bool] = []
+        self._rank = np.zeros(0, dtype=np.intp)
+        self._metric_of = np.zeros(0, dtype=np.intp)
+        self._canonical = np.zeros(0, dtype=bool)
+        #: id(batch key tuple) -> (that tuple, its code array); holding
+        #: the tuple keeps its id from being reused
+        self._batch_codes: dict[int, tuple[tuple, np.ndarray]] = {}
 
     # -- ingest ---------------------------------------------------------------
 
-    def deliver(self, samples: tuple[Sample, ...], now: float) -> None:
-        """A batch arrived at the root at sim time ``now``; buffer it
-        until the window closes.  ``now`` is unused beyond the contract
-        that batches for a window arrive before its close."""
+    def deliver(self, batches: tuple[Batch, ...] | tuple[Sample, ...],
+                now: float) -> None:
+        """Batches arrived at the root at sim time ``now``; buffer them
+        until the window closes.  Bare :class:`Sample` rows are accepted
+        too (one one-row batch each).  ``now`` is unused beyond the
+        contract that batches for a window arrive before its close."""
         del now
-        self._buffer.extend(samples)
+        self._buffer.extend(
+            Batch.of(b) if isinstance(b, Sample) else b for b in batches)
+
+    def _codes_of(self, keys: tuple[tuple[str, str], ...]) -> np.ndarray:
+        """The code array of one batch key tuple, registering new keys."""
+        hit = self._batch_codes.get(id(keys))
+        if hit is not None:
+            return hit[1]
+        code = self._code
+        for key in keys:
+            if key not in code:
+                code[key] = len(self._keys)
+                self._keys.append(key)
+                metric = key[0]
+                self._key_metric.append(
+                    self._metric_id.setdefault(metric, len(self._metric_id)))
+                self._key_canonical.append(metric.startswith(PROBE_PREFIX))
+        codes = np.array([code[key] for key in keys], dtype=np.intp)
+        self._batch_codes[id(keys)] = (keys, codes)
+        return codes
+
+    def _refresh_keys(self) -> None:
+        """Rebuild the per-code arrays after new keys registered."""
+        n = len(self._keys)
+        if self._rank.shape[0] == n:
+            return
+        rank = np.empty(n, dtype=np.intp)
+        rank[sorted(range(n), key=self._keys.__getitem__)] = np.arange(n)
+        self._rank = rank
+        self._metric_of = np.array(self._key_metric, dtype=np.intp)
+        self._canonical = np.array(self._key_canonical, dtype=bool)
 
     # -- window close ---------------------------------------------------------
 
     def close_window(self, now: float) -> list[Rollup]:
-        """Fold the buffered samples into per-metric rollups at ``now``.
+        """Fold the buffered batches into per-metric rollups at ``now``.
 
         Returns the new rollups (also appended to :attr:`rollups`).
-        Folding sorts the buffer first, so the result is independent of
-        batch arrival order within the window.
+        Folding sorts every buffered row first, so the result is
+        independent of batch arrival order within the window.
         """
-        window = sorted(
-            (s for s in self._buffer if s.metric.startswith(PROBE_PREFIX)),
-            key=lambda s: (s.metric, s.source, s.sampled_at, s.value))
-        mirrored = sorted(
-            (s for s in self._buffer if not s.metric.startswith(PROBE_PREFIX)),
-            key=lambda s: (s.metric, s.source, s.sampled_at, s.value))
+        batches = [b for b in self._buffer if len(b)]
         self._buffer.clear()
-
-        # Freshest sample per (metric, source): last in sort order.
-        for sample in window:
-            self._view[(sample.metric, sample.source)] = (
-                sample.value, sample.sampled_at)
-        for sample in mirrored:
-            self._mirror[(sample.metric, sample.source)] = (
-                sample.value, sample.sampled_at)
-
-        per_metric: dict[str, list[Sample]] = {}
-        for sample in window:
-            per_metric.setdefault(sample.metric, []).append(sample)
-
         new_rollups = []
-        for metric in sorted(per_metric):
-            samples = per_metric[metric]
-            n_stale = sum(1 for s in samples
-                          if now - s.sampled_at > self.staleness_limit)
-            fresh: dict[str, float] = {}
-            for s in samples:  # sorted: later samples overwrite earlier
-                fresh[s.source] = s.value
-            values = sorted(fresh.values())
-            rate = 0.0
-            if metric in self.counter_metrics:
-                total = sum(values)
-                last = self._counter_last.get(metric)
-                if last is not None:
-                    t_last, v_last = last
-                    dt = now - t_last
-                    # A negative delta is a counter reset (a replaced
-                    # cable, a restarted MDS): restart the window.
-                    if dt > 0 and total >= v_last:
-                        rate = (total - v_last) / dt
-                self._counter_last[metric] = (now, total)
-            rollup = Rollup(
-                window_end=now,
-                metric=metric,
-                n_sources=len(values),
-                n_samples=len(samples),
-                n_stale=n_stale,
-                rate=rate,
-                mean=sum(values) / len(values),
-                max=values[-1],
-                p99=_percentile(values, 99.0),
-            )
-            new_rollups.append(rollup)
-            self.n_samples += len(samples)
-            self.n_stale += n_stale
+        if batches:
+            codes = np.concatenate([self._codes_of(b.keys) for b in batches])
+            self._refresh_keys()
+            values = np.concatenate([b.values for b in batches])
+            times = np.repeat([b.sampled_at for b in batches],
+                              [len(b) for b in batches])
+            order = np.lexsort((values, times, self._rank[codes]))
+            codes = codes[order]
+            values = values[order]
+            times = times[order]
+            # The freshest row per key is the last of its run.
+            last = np.flatnonzero(np.append(codes[1:] != codes[:-1], True))
+            last_codes = codes[last]
+            canonical = self._canonical[last_codes]
+            mirrored = ~canonical
+            self._fold_view(self._mirror, last_codes[mirrored],
+                            values[last][mirrored], times[last][mirrored])
+            fresh_codes = last_codes[canonical]
+            fresh = values[last][canonical]
+            self._fold_view(self._view, fresh_codes, fresh,
+                            times[last][canonical])
+
+            rows = self._canonical[codes]
+            row_metric = self._metric_of[codes[rows]]
+            stale = (now - times[rows]) > self.staleness_limit
+            n_rows = np.bincount(row_metric).tolist()
+            n_stale = np.bincount(row_metric[stale],
+                                  minlength=len(n_rows)).tolist()
+            # Canonical keys run metric by metric, in metric order.
+            fresh_metric = self._metric_of[fresh_codes]
+            cuts = (np.flatnonzero(np.diff(fresh_metric)) + 1).tolist()
+            for lo, hi in zip([0] + cuts, cuts + [fresh.shape[0]]):
+                if lo == hi:
+                    continue
+                m = int(fresh_metric[lo])
+                new_rollups.append(self._rollup(
+                    now, self._keys[int(fresh_codes[lo])][0],
+                    np.sort(fresh[lo:hi], kind="stable").tolist(),
+                    n_rows[m], n_stale[m]))
         self.rollups.extend(new_rollups)
+        self._latest = new_rollups
         self.n_windows += 1
 
         if self.db is not None:
@@ -212,6 +256,44 @@ class CollectorSink:
                 metrics=len(new_rollups))
         return new_rollups
 
+    def _fold_view(self, view: dict, codes: np.ndarray, values: np.ndarray,
+                   times: np.ndarray) -> None:
+        """Overwrite ``view`` with each key's freshest ``(value,
+        sampled_at)``, in key order (the row-by-row fold's insertion
+        order)."""
+        keys = self._keys
+        view.update(zip([keys[c] for c in codes.tolist()],
+                        zip(values.tolist(), times.tolist())))
+
+    def _rollup(self, now: float, metric: str, values: list[float],
+                n_samples: int, n_stale: int) -> Rollup:
+        """One metric's rollup from its ascending freshest values."""
+        rate = 0.0
+        if metric in self.counter_metrics:
+            total = sum(values)
+            last = self._counter_last.get(metric)
+            if last is not None:
+                t_last, v_last = last
+                dt = now - t_last
+                # A negative delta is a counter reset (a replaced
+                # cable, a restarted MDS): restart the window.
+                if dt > 0 and total >= v_last:
+                    rate = (total - v_last) / dt
+            self._counter_last[metric] = (now, total)
+        self.n_samples += n_samples
+        self.n_stale += n_stale
+        return Rollup(
+            window_end=now,
+            metric=metric,
+            n_sources=len(values),
+            n_samples=n_samples,
+            n_stale=n_stale,
+            rate=rate,
+            mean=sum(values) / len(values),
+            max=values[-1],
+            p99=_percentile(values, 99.0),
+        )
+
     def _publish_view_gauges(self, now: float) -> None:
         """Expose the mirrored layer view (load + age) as telemetry
         gauges — the ``overlay.view.*`` surface the Lesson-12 report
@@ -236,8 +318,6 @@ class CollectorSink:
         return dict(self._view)
 
     def latest_rollups(self) -> list[Rollup]:
-        """The rollups of the most recently closed window (metric-sorted)."""
-        if not self.rollups:
-            return []
-        last_end = self.rollups[-1].window_end
-        return [r for r in self.rollups if r.window_end == last_end]
+        """The rollups of the most recently closed window (metric-sorted;
+        empty when that window folded no canonical sample)."""
+        return list(self._latest)

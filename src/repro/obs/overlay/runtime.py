@@ -101,8 +101,8 @@ class MonitoringOverlay:
         config: the overlay knobs (default :class:`OverlayConfig`).
         scheduler: optional facility scheduler whose per-class ingest
             caps ride along as ``mon.sched_ingest_cap`` probes.
-        extra_probes: optional additional probes for the ``aux`` agent
-            (e.g. the per-link ``mon.link_util`` gauges from
+        extra_probes: optional additional probes or probe groups for the
+            ``aux`` agent (e.g. the per-link ``mon.link_util`` group from
             :func:`~repro.obs.overlay.scraper.routing_probes`), appended
             after any scheduler probes.
         db: optional :class:`~repro.monitoring.metricsdb.MetricsDb` sink;
@@ -207,7 +207,7 @@ class MonitoringOverlay:
         draw = self._loss_rng.random
         by_lag: dict[float, list] = {}
         for scraper in self.scrapers:  # already sorted by name
-            samples = scraper.sweep(now)
+            batch = scraper.sweep(now)
             self.n_batches += 1
             lost = float(draw()) < loss_p
             if enabled:
@@ -222,7 +222,7 @@ class MonitoringOverlay:
             # The key exists even for an empty payload (the flowstats
             # agent with the registry disabled), so the delivery-event
             # schedule is identical with telemetry on or off.
-            by_lag.setdefault(lag, []).extend(samples)
+            by_lag.setdefault(lag, []).append(batch)
         for lag in sorted(by_lag):
             payload = tuple(by_lag[lag])
             self._engine.call_after(

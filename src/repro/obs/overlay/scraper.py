@@ -2,9 +2,16 @@
 
 A :class:`Probe` is one ground-truth reader — a closure over live system
 state (a couplet's failover-aware bandwidth cap, a cable's health bit, a
-router module's live count) that the overlay samples on its cadence.
-Probe metrics all carry the ``mon.`` prefix so the canonical rollup set
-is disjoint from mirrored telemetry names by construction.
+router module's live count) that the overlay samples on its cadence.  A
+:class:`ProbeGroup` is one metric over many sources with one read that
+returns an array (the routing layer's per-link utilizations).  Probe
+metrics all carry the ``mon.`` prefix so the canonical rollup set is
+disjoint from mirrored telemetry names by construction.
+
+A sweep returns one columnar :class:`Batch`: the agent's fixed
+``(metric, source)`` key tuple, built once when the agent is made, plus
+the sweep's values and one ``sampled_at``.  Iterating a batch yields its
+:class:`Sample` rows.
 
 :func:`probes_for_system` builds the standard agent inventory for a
 :class:`~repro.core.spider.SpiderSystem`: one agent per SSU (couplet
@@ -25,13 +32,17 @@ off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
+
+import numpy as np
 
 from repro.hardware.raid import RaidState
 from repro.obs.instruments import get_telemetry
 
 __all__ = [
+    "Batch",
     "Probe",
+    "ProbeGroup",
     "Sample",
     "Scraper",
     "probes_for_system",
@@ -45,6 +56,12 @@ PROBE_PREFIX = "mon."
 #: telemetry gauge names the MELT bridge mirrors up the tree when the
 #: registry is enabled (the Lesson-12 layer surface)
 MIRRORED_GAUGES = ("flow.layer.load", "flow.layer.capacity")
+
+
+def _check_metric(metric: str) -> None:
+    if not metric.startswith(PROBE_PREFIX):
+        raise ValueError(
+            f"probe metric {metric!r} must start with {PROBE_PREFIX!r}")
 
 
 @dataclass(frozen=True)
@@ -64,10 +81,25 @@ class Probe:
     counter: bool = False
 
     def __post_init__(self) -> None:
-        if not self.metric.startswith(PROBE_PREFIX):
-            raise ValueError(
-                f"probe metric {self.metric!r} must start with "
-                f"{PROBE_PREFIX!r}")
+        _check_metric(self.metric)
+
+
+@dataclass(frozen=True)
+class ProbeGroup:
+    """One metric read for many sources at once.
+
+    ``read`` returns one value per entry of ``sources``, in order, as an
+    array (pure: no mutation, no RNG); ``counter`` is as on
+    :class:`Probe`.
+    """
+
+    metric: str
+    sources: tuple[str, ...]
+    read: Callable[[], np.ndarray] = field(compare=False)
+    counter: bool = False
+
+    def __post_init__(self) -> None:
+        _check_metric(self.metric)
 
 
 @dataclass(frozen=True)
@@ -81,6 +113,39 @@ class Sample:
     sampled_at: float
 
 
+class Batch:
+    """One sweep's payload, in columns.
+
+    ``keys`` is the sending agent's ``(metric, source)`` tuple — built
+    once per agent and shared by every batch it sends, so the collector
+    can cache its per-key bookkeeping by identity; ``values`` is a
+    float64 array aligned with ``keys``; every row was read at
+    ``sampled_at``.  Iterating yields the :class:`Sample` rows.
+    """
+
+    __slots__ = ("keys", "values", "sampled_at")
+
+    def __init__(self, keys: tuple[tuple[str, str], ...],
+                 values: np.ndarray, sampled_at: float) -> None:
+        self.keys = keys
+        self.values = values
+        self.sampled_at = sampled_at
+
+    @classmethod
+    def of(cls, sample: Sample) -> "Batch":
+        """A one-row batch holding ``sample``."""
+        return cls(((sample.metric, sample.source),),
+                   np.array([sample.value], dtype=float), sample.sampled_at)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[Sample]:
+        at = self.sampled_at
+        for (metric, source), value in zip(self.keys, self.values.tolist()):
+            yield Sample(metric, source, value, at)
+
+
 class Scraper:
     """One monitoring agent: sweeps its probes on the overlay cadence.
 
@@ -88,7 +153,8 @@ class Scraper:
         name: the agent's name — also its leaf node in the aggregation
             tree and the host-resolution target of the observed detector.
         leaf: the fabric leaf switch the agent hangs off.
-        probes: the ground-truth readers this agent owns.
+        probes: the ground-truth readers this agent owns
+            (:class:`Probe` and :class:`ProbeGroup`).
         mirror_telemetry: when ``True`` the agent also samples the
             mirrored telemetry gauges (:data:`MIRRORED_GAUGES`) from the
             process registry *if it is enabled* — the MELT bridge.  The
@@ -100,7 +166,7 @@ class Scraper:
         self,
         name: str,
         leaf: int,
-        probes: list[Probe],
+        probes: list[Probe | ProbeGroup],
         *,
         mirror_telemetry: bool = False,
     ) -> None:
@@ -108,23 +174,40 @@ class Scraper:
         self.leaf = int(leaf)
         self.probes = list(probes)
         self.mirror_telemetry = mirror_telemetry
+        singles = [p for p in self.probes if isinstance(p, Probe)]
+        groups = [p for p in self.probes if isinstance(p, ProbeGroup)]
+        self._reads = tuple(p.read for p in singles)
+        self._group_reads = tuple(g.read for g in groups)
+        #: the batch key tuple, built once: the single probes, then each
+        #: group's sources, each in probe order
+        self.keys: tuple[tuple[str, str], ...] = tuple(
+            [(p.metric, p.source) for p in singles]
+            + [(g.metric, src) for g in groups for src in g.sources])
+        #: :attr:`keys` plus the last mirrored gauge keys, reused while
+        #: the mirrored gauge set holds
+        self._mirrored_keys = self.keys
 
-    def sweep(self, now: float) -> tuple[Sample, ...]:
+    def sweep(self, now: float) -> Batch:
         """Read every probe (and the telemetry mirror, when enabled) at
         sim time ``now``; returns the batch payload."""
-        samples = [
-            Sample(p.metric, p.source, float(p.read()), now)
-            for p in self.probes
-        ]
+        values = np.array([float(read()) for read in self._reads])
+        if self._group_reads:
+            values = np.concatenate([values] + [
+                np.asarray(read(), dtype=float) for read in self._group_reads])
+        keys = self.keys
         if self.mirror_telemetry:
             telemetry = get_telemetry()
             if telemetry.enabled:
-                mirrored = set(MIRRORED_GAUGES)
-                for gauge in telemetry.gauges():
-                    if gauge.name in mirrored:
-                        samples.append(Sample(
-                            gauge.name, gauge.source, gauge.value, now))
-        return tuple(samples)
+                mirrored = [g for g in telemetry.gauges()
+                            if g.name in MIRRORED_GAUGES]
+                if mirrored:
+                    extra = tuple((g.name, g.source) for g in mirrored)
+                    if self._mirrored_keys[len(self.keys):] != extra:
+                        self._mirrored_keys = self.keys + extra
+                    keys = self._mirrored_keys
+                    values = np.concatenate([values, np.array(
+                        [g.value for g in mirrored], dtype=float)])
+        return Batch(keys, values, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Scraper({self.name!r}, leaf={self.leaf}, "
@@ -246,21 +329,20 @@ def scheduler_probes(scheduler) -> list[Probe]:
     return probes
 
 
-def routing_probes(builder, components: list[str]) -> list[Probe]:
-    """Per-link utilization probes for the routing layer's feed.
+def routing_probes(builder, components) -> ProbeGroup:
+    """The per-link utilization probe group for the routing layer's feed.
 
     ``builder`` is duck-typed on
-    :meth:`repro.core.path.PathBuilder.link_utilization`; each watched
-    component becomes one ``mon.link_util`` gauge.  This is the only
-    channel through which the adaptive policy sees solver outcomes: the
-    values ride the overlay's sweep/window cadence, so routing reacts to
-    what a monitoring system would have shown minutes ago, not to
-    in-process truth — and the reads are plain method calls, never the
-    telemetry registry, so decisions stay bit-identical with telemetry
-    on or off.
+    :meth:`repro.core.path.PathBuilder.link_utilizations`; the group is
+    one ``mon.link_util`` gauge per watched component, read as one array
+    per sweep.  This is the only channel through which the adaptive
+    policy sees solver outcomes: the values ride the overlay's
+    sweep/window cadence, so routing reacts to what a monitoring system
+    would have shown minutes ago, not to in-process truth — and the
+    reads are plain method calls, never the telemetry registry, so
+    decisions stay bit-identical with telemetry on or off.
     """
-    return [
-        Probe("mon.link_util", comp,
-              lambda b=builder, c=comp: float(b.link_utilization(c)))
-        for comp in components
-    ]
+    components = tuple(components)
+    return ProbeGroup(
+        "mon.link_util", components,
+        lambda b=builder, c=components: b.link_utilizations(c))

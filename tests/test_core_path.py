@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.path import PathBuilder, Transfer
@@ -173,3 +174,75 @@ class TestIncrementalResolve:
         first_net = builder._net
         builder.resolve(list(transfers))  # equal content, different object
         assert builder._net is not first_net
+
+
+class TestLinkUtilizations:
+    """PathBuilder.link_utilizations: one array read, element for element
+    the scalar FlowResult.utilization (0.0 for an unknown component)."""
+
+    @staticmethod
+    def _scalar(result, components):
+        out = []
+        for comp in components:
+            try:
+                out.append(result.utilization(comp))
+            except KeyError:
+                out.append(0.0)
+        return out
+
+    def _transfers(self, system, first_client):
+        return [
+            Transfer(f"s{i}", system.clients[first_client + i], (i,),
+                     qos_class="bulk")
+            for i in range(4)
+        ]
+
+    def test_zeros_before_any_resolve(self, mini_system):
+        builder = PathBuilder(mini_system)
+        assert builder.link_utilizations(("a", "b")).tolist() == [0.0, 0.0]
+
+    def test_matches_scalar_utilization(self, mini_system):
+        # A failed cable is a zero-capacity component; the uncapped
+        # ``qos:bulk`` class is an infinite-capacity one.
+        mini_system.fabric.fail_cable(mini_system.osses[0].name)
+        builder = PathBuilder(mini_system, include_torus=True)
+        result = builder.resolve(self._transfers(mini_system, 0))
+        caps = result.component_capacity
+        assert any(cap == 0 for cap in caps.values())
+        assert math.isinf(caps["qos:bulk"])
+        comps = tuple(caps) + ("no-such-component",)
+        assert builder.link_utilizations(comps).tolist() \
+            == self._scalar(result, comps)
+
+    def test_flow_result_covers_every_branch(self):
+        from repro.core.flow import FlowResult
+
+        names = ["zero-busy", "zero-idle", "inf", "half"]
+        result = FlowResult(
+            np.zeros(0), [], names, {n: i for i, n in enumerate(names)},
+            np.array([3.0, 0.0, 5.0, 2.0]),
+            np.array([0.0, 0.0, math.inf, 4.0]), {}, 0, ())
+        ids = np.array([0, 1, 2, 3, -1, 7])
+        assert result.utilizations(ids).tolist() \
+            == [1.0, 0.0, 0.0, 0.5, 0.0, 0.0]
+        assert result.component_ids(names + ["unknown"]).tolist() \
+            == [0, 1, 2, 3, -1]
+        assert result.utilizations(ids[:4]).tolist() \
+            == [result.utilization(n) for n in names]
+
+    def test_index_cache_follows_a_rebuilt_network(self, mini_system):
+        builder = PathBuilder(mini_system, include_torus=True)
+        first = builder.resolve(self._transfers(mini_system, 0))
+        second_transfers = self._transfers(mini_system, 5)
+        # Both networks' components, in a fixed order.
+        probe = PathBuilder(mini_system, include_torus=True)
+        comps = tuple(sorted(
+            set(first.component_capacity)
+            | set(probe.build(second_transfers).component_names())))
+        assert builder.link_utilizations(comps).tolist() \
+            == self._scalar(first, comps)
+        second = builder.resolve(second_transfers)  # new list: rebuild
+        assert (first.component_ids(comps)
+                != second.component_ids(comps)).any()
+        assert builder.link_utilizations(comps).tolist() \
+            == self._scalar(second, comps)

@@ -20,9 +20,12 @@ from tests.conftest import (
 from repro.core.spider import SpiderSystem
 from repro.network.storm import (
     StormStudyResult,
+    _make_clients,
     _probe_coord,
+    _watched_components,
     run_storm_study,
 )
+from repro.network.torus import AXIS_ORDERS, Torus3D
 from repro.units import GB
 
 
@@ -111,3 +114,19 @@ class TestValidation:
             quick_study(request_bytes=0.0)
         with pytest.raises(ValueError):
             quick_study(shed_fraction=0.0)
+
+
+class TestWatchedComponents:
+    def test_equals_brute_force_union(self):
+        system = storm_factory()()
+        probe, storm = _make_clients(system, 24)
+        clients = [probe] + storm
+        want = set()
+        for router in system.routers:
+            want.add(f"router:{router.name}")
+            for client in clients:
+                for order in AXIS_ORDERS:
+                    for link in system.torus.route_links_ordered(
+                            client.coord, router.coord, order):
+                        want.add(Torus3D.link_component(link))
+        assert _watched_components(system, clients) == tuple(sorted(want))
