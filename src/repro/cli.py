@@ -32,6 +32,7 @@ Every subcommand prints the same rendered report its benchmark archives.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 
@@ -55,6 +56,13 @@ _META_DEFAULT_FILES = 1_000_000
 class CliError(Exception):
     """A user-facing command failure: printed to stderr, exit status 1,
     no traceback (bad paths, unreadable inputs)."""
+
+
+def _require_positive(value: float, flag: str) -> None:
+    """Reject a float flag that is not a positive, finite number (NaN
+    compares False to everything, so ``<= 0`` alone lets it through)."""
+    if not (math.isfinite(value) and value > 0):
+        raise CliError(f"{flag} must be positive and finite")
 
 
 @contextmanager
@@ -264,10 +272,8 @@ def _cmd_sched(args) -> int:
     from repro.faults import FaultPlan
     from repro.sched import FacilityScheduler, JobMix, QosPolicy, generate_jobs
 
-    if args.duration <= 0:
-        raise CliError("--duration must be positive")
-    if args.rate_scale <= 0:
-        raise CliError("--rate-scale must be positive")
+    _require_positive(args.duration, "--duration")
+    _require_positive(args.rate_scale, "--rate-scale")
     if args.faults < 0:
         raise CliError("--faults must be non-negative")
 
@@ -278,6 +284,9 @@ def _cmd_sched(args) -> int:
         jobs = generate_jobs(JobMix().scaled(args.rate_scale),
                              duration=args.duration, seed=args.seed,
                              reference_bandwidth=backbone)
+        if not jobs:
+            raise CliError("no job arrives in --duration at this "
+                           "--rate-scale; raise either")
         plan = None
         if args.faults:
             plan = FaultPlan.random(system, duration=args.duration,
@@ -379,8 +388,7 @@ def _fault_plan(args):
 
     if args.faults < 0:
         raise CliError("--faults must be non-negative")
-    if args.duration <= 0:
-        raise CliError("--duration must be positive")
+    _require_positive(args.duration, "--duration")
     if not 0 < args.threshold < 1:
         raise CliError("--threshold must be in (0, 1)")
     if args.scenario == "cable":

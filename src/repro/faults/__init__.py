@@ -12,9 +12,13 @@ catalogue into executable campaigns:
 * :mod:`repro.faults.plan` — composable, seed-deterministic
   :class:`FaultPlan` schedules plus the hand-written §IV-A cable and 2010
   enclosure-incident scenarios;
+* :mod:`repro.faults.executor` — :class:`FaultExecutor` runs a plan's
+  inject/repair lifecycle on its owner's engine (tokens, counters, spans,
+  optional closed-loop remediation) and calls the owner back at each
+  state change; the campaign and the facility scheduler both use it;
 * :mod:`repro.faults.campaign` — :class:`FaultCampaign` executes a plan on
   the discrete-event engine, re-solves the flow network at every state
-  change, feeds the health checker and telemetry spine, and returns a
+  change, feeds the health checker, and returns a
   :class:`CampaignResult` of availability/degradation metrics.
 
 Typical use::
@@ -30,6 +34,7 @@ Typical use::
 
 from repro.faults.campaign import CampaignResult, FaultCampaign
 from repro.faults.events import FaultClass, PlannedFault
+from repro.faults.executor import FaultExecutor
 from repro.faults.injectors import INJECTORS, Injector, injector_for
 from repro.faults.plan import (
     FaultPlan,
@@ -50,6 +55,7 @@ __all__ = [
     "incident_2010_scenario",
     "flapping_router_scenario",
     "hotspot_storm_scenario",
+    "FaultExecutor",
     "FaultCampaign",
     "CampaignResult",
 ]

@@ -19,30 +19,31 @@ rest of the model):
   :meth:`~repro.core.path.PathBuilder.resolve` and
   ``docs/PERFORMANCE.md``).
 
-Every injection/repair also feeds the operational surfaces: a
-:class:`~repro.monitoring.health.HealthEvent` per fault (plus the
+The fault lifecycle itself — scheduling, injector tokens, the
+``faults.injected``/``faults.repaired`` counters and one trace span per
+fault lifetime, so ``spider-repro chaos --trace`` shows faults as
+intervals next to the RAID-rebuild and engine-process spans — is the
+shared :class:`~repro.faults.executor.FaultExecutor`.  The campaign
+supplies what a state change means to it: a
+:class:`~repro.monitoring.health.HealthEvent` per injected fault (plus the
 RPC-timeout software symptom for blackout-class faults, which is what lets
-the health checker demonstrate hardware-rooted correlation), a
-``faults.injected``/``faults.repaired`` telemetry counter per class, and an
-open trace span per fault lifetime — so ``spider-repro chaos --trace``
-shows faults as intervals on the sim timeline next to the RAID-rebuild and
-engine-process spans.
+the health checker demonstrate hardware-rooted correlation) and a probe
+re-sample for every fault that changes the data path.
 
 The result is a :class:`CampaignResult` of plain floats and tuples, so two
 runs with the same seed compare equal with ``==`` — the determinism
 contract the test suite enforces (telemetry on or off, bit-identical).
 
-Passing ``remediation=`` closes the loop: a
+Passing ``remediation=`` closes the loop: the executor's
 :class:`~repro.resilience.runner.PlaybookRunner` rides the same engine,
 detects each injected fault through the monitoring-latency model, walks
-its playbook, and applies the repair through the campaign's own repair
+its playbook, and applies the repair through the executor's one repair
 path — whichever of the scripted repair and the remediation fires first
 wins, the other becomes a no-op.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,7 +53,8 @@ from repro.core.flow import Epoch
 from repro.core.path import PathBuilder, Transfer
 from repro.core.spider import SpiderSystem
 from repro.faults.events import PlannedFault
-from repro.faults.injectors import injector_for
+from repro.faults.executor import FaultExecutor
+from repro.faults.injectors import Injector
 from repro.faults.plan import FaultPlan
 from repro.monitoring.health import HealthEvent, LustreHealthChecker
 from repro.obs.instruments import get_telemetry
@@ -63,7 +65,7 @@ from repro.units import HOUR
 if TYPE_CHECKING:
     from repro.obs.overlay.runtime import MonitoringOverlay, OverlayOutcome
     from repro.resilience.playbooks import RemediationPolicy
-    from repro.resilience.runner import PlaybookRunner, RemediationOutcome
+    from repro.resilience.runner import RemediationOutcome
 
 __all__ = ["FaultCampaign", "CampaignResult"]
 
@@ -193,15 +195,10 @@ class FaultCampaign:
         # run state
         self._engine: Engine | None = None
         self._epoch: Epoch | None = None
-        self._runner: "PlaybookRunner | None" = None
         #: (sample time, FlowResult matching the builder's route table)
         self._last: tuple[float, object] | None = None
         self._timeline: list[tuple[float, float, str]] = []
-        self._tokens: dict[PlannedFault, object] = {}
-        self._spans: dict[PlannedFault, object] = {}
         self._unroutable = 0
-        self._n_injected = 0
-        self._n_repaired = 0
 
     def _probe_transfers(self) -> list[Transfer]:
         """Probe streams per OSS, clients chosen by a deterministic stride.
@@ -268,64 +265,23 @@ class FaultCampaign:
         self._last = (engine.now, result)
         self._timeline.append((engine.now, float(np.sum(result.rates)), label))
 
-    def _inject(self, fault: PlannedFault) -> None:
-        engine = self._engine
-        assert engine is not None
-        injector = injector_for(fault)
-        self._tokens[fault] = injector.inject(self.system, fault)
-        self._n_injected += 1
-        host = injector.host(self.system, fault)
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.counter("faults.injected", fault.fault.value).add(1.0)
-        self._spans[fault] = get_tracer().open(
-            f"fault:{fault.label}", "faults",
-            target=str(fault.target), magnitude=fault.magnitude,
-        )
-        self.health.ingest(HealthEvent(
-            engine.now, injector.event_kind, host, detail=fault.label))
-        if injector.symptom is not None:
-            symptom = injector.symptom
-            engine.call_after(SYMPTOM_DELAY, lambda: self.health.ingest(
-                HealthEvent(engine.now, symptom, host,
-                            detail=f"symptom of {fault.label}")))
+    def _fault_changed(self, fault: PlannedFault, injector: Injector,
+                       phase: str) -> None:
+        """Executor hook: a fault was injected, repaired or recovered."""
+        if phase == "injected":
+            engine = self._engine
+            assert engine is not None
+            host = injector.host(self.system, fault)
+            self.health.ingest(HealthEvent(
+                engine.now, injector.event_kind, host, detail=fault.label))
+            if injector.symptom is not None:
+                symptom = injector.symptom
+                engine.call_after(SYMPTOM_DELAY, lambda: self.health.ingest(
+                    HealthEvent(engine.now, symptom, host,
+                                detail=f"symptom of {fault.label}")))
         if injector.resolves_flow:
-            self._sample(fault.label)
-        if self._runner is not None:
-            self._runner.on_fault(fault, engine.now)
-
-    def _repair(self, fault: PlannedFault) -> None:
-        # Scripted repair and remediation share this path; whichever runs
-        # first consumes the token and the other becomes a no-op.
-        if fault not in self._tokens:
-            return
-        engine = self._engine
-        assert engine is not None
-        injector = injector_for(fault)
-        followup = injector.repair(self.system, fault, self._tokens.pop(fault, None))
-        self._n_repaired += 1
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.counter("faults.repaired", fault.fault.value).add(1.0)
-        get_tracer().end(self._spans.pop(fault, None), repaired=True)
-        if injector.resolves_flow:
-            self._sample(f"{fault.label}:repaired")
-        if followup is not None:
-            delay, fn = followup
-
-            def _finish() -> None:
-                fn()
-                if injector.resolves_flow:
-                    self._sample(f"{fault.label}:recovered")
-
-            engine.call_after(delay, _finish)
-
-    def _remediate_repair(self, fault: PlannedFault) -> bool:
-        """Actuator entry point: repair ``fault`` unless already repaired."""
-        if fault not in self._tokens:
-            return False
-        self._repair(fault)
-        return True
+            self._sample(fault.label if phase == "injected"
+                         else f"{fault.label}:{phase}")
 
     # -- execution ------------------------------------------------------------
 
@@ -335,44 +291,23 @@ class FaultCampaign:
         instrument_engine(engine, get_telemetry(), get_tracer())
         self._epoch = Epoch(self._flush_sample, engine=engine)
         self._timeline.clear()
-        self._tokens.clear()
-        self._spans.clear()
         self._last = None
-        self._unroutable = self._n_injected = self._n_repaired = 0
+        self._unroutable = 0
 
+        detector = None
         if self.monitor is not None:
             self.monitor.attach(engine)
-
-        self._runner = None
-        if self.remediation is not None:
-            # Imported lazily: repro.resilience imports the faults package
-            # at module level, so the campaign must not return the favor.
-            from repro.resilience.actuator import CallbackActuator
-            from repro.resilience.runner import PlaybookRunner
-
-            detector = None
-            if self.monitor is not None:
+            if self.remediation is not None:
                 detector = self.monitor.detector(self.remediation.detection)
-            self._runner = PlaybookRunner(
-                self.remediation,
-                engine=engine,
-                actuator=CallbackActuator(
-                    repair=self._remediate_repair,
-                    pending=lambda f: f in self._tokens,
-                ),
-                n_clients=len(self.system.clients),
-                n_routers=len(self.system.routers),
-                detector=detector,
-            )
 
         # Sampled synchronously, not through the epoch: the baseline must
         # be the first timeline entry even when the plan's first fault
         # lands at t=0 (an epoch-routed baseline would batch with it).
         self._flush_sample("baseline")
-        for fault in self.plan:
-            engine.call_at(fault.time, lambda f=fault: self._inject(f))
-            if math.isfinite(fault.repair_time):
-                engine.call_at(fault.repair_time, lambda f=fault: self._repair(f))
+        faults = FaultExecutor(self.system, self.plan, engine=engine,
+                               changed=self._fault_changed,
+                               remediation=self.remediation,
+                               detector=detector)
         engine.run(until=self.duration)
 
         # Attribute the tail interval (last state change → horizon).
@@ -381,19 +316,13 @@ class FaultCampaign:
             self._builder.record_flow_telemetry(
                 last_result, max(0.0, self.duration - last_t))
 
-        # Faults still open at the horizon: close their spans, censored.
-        for fault in self.plan:
-            handle = self._spans.pop(fault, None)
-            if handle is not None:
-                get_tracer().end(handle, repaired=False)
-
-        outcome = self._runner.finalize() if self._runner is not None else None
-        return self._result(outcome)
+        outcome = faults.finish()
+        return self._result(faults, outcome)
 
     # -- metrics --------------------------------------------------------------
 
-    def _result(self, remediation: "RemediationOutcome | None" = None,
-                ) -> CampaignResult:
+    def _result(self, faults: FaultExecutor,
+                remediation: "RemediationOutcome | None") -> CampaignResult:
         timeline = list(self._timeline)
         baseline = timeline[0][1] if timeline else 0.0
         floor = self.threshold * baseline
@@ -449,8 +378,8 @@ class FaultCampaign:
             timeline=tuple(timeline),
             recovery_times=tuple(sorted(recovery.items())),
             incident_counts=tuple(sorted(self.health.classify_counts().items())),
-            n_injected=self._n_injected,
-            n_repaired=self._n_repaired,
+            n_injected=faults.n_injected,
+            n_repaired=faults.n_repaired,
             unroutable_flows=self._unroutable,
             recovery_stats=tuple(
                 (cls, len(vals), sum(vals) / len(vals))

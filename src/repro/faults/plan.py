@@ -105,8 +105,8 @@ class FaultPlan:
         Deterministic: the same ``(system spec, duration, n_faults, seed,
         classes)`` always yields an identical plan.
         """
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(duration) and duration > 0):
+            raise ValueError("duration must be positive and finite")
         if n_faults < 0:
             raise ValueError("n_faults must be non-negative")
         pool = tuple(classes) if classes is not None else tuple(FaultClass)

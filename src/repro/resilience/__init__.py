@@ -1,4 +1,4 @@
-"""repro.resilience — closed-loop remediation on the fault campaign.
+"""repro.resilience — closed-loop remediation on the fault executor.
 
 The paper's operational chapters describe humans closing the loop:
 monitoring surfaces a dying cable or a failed OSS, an operator diagnoses
@@ -10,12 +10,11 @@ This package automates that loop on the discrete-event engine:
 * :mod:`repro.resilience.playbooks` — the runbook registry mapping every
   :class:`~repro.faults.events.FaultClass` to declarative steps, plus the
   retry/escalation and remediation policies;
-* :mod:`repro.resilience.actuator` — the write path applying repairs
-  through the executor's own injector adapters, so the flow network
-  re-solves exactly as for a scripted repair;
 * :mod:`repro.resilience.runner` — :class:`PlaybookRunner` executes
   detect → decide → act → verify as engine events and aggregates the
-  MTTD/MTTR decomposition;
+  MTTD/MTTR decomposition.  It applies each repair through the
+  :class:`~repro.faults.executor.FaultExecutor`'s one repair path, so
+  the flow network re-solves exactly as for a scripted repair;
 * :mod:`repro.resilience.study` — the two same-plan, same-seed campaign
   studies: manual vs automated remediation with the standard-recovery
   ablation (A15), and analytic vs observed vs tightened-overlay
@@ -34,7 +33,6 @@ Typical use::
     print(result.remediation.mean_mttr_seconds)
 """
 
-from repro.resilience.actuator import Actuator, CallbackActuator
 from repro.resilience.detector import DetectionModel, Detector
 from repro.resilience.playbooks import (
     PLAYBOOKS,
@@ -65,8 +63,6 @@ __all__ = [
     "RemediationPolicy",
     "PLAYBOOKS",
     "playbook_for",
-    "Actuator",
-    "CallbackActuator",
     "PlaybookRunner",
     "RemediationRecord",
     "RemediationOutcome",

@@ -1,8 +1,9 @@
 """The closed loop: detect → decide → act → verify on the DES engine.
 
-:class:`PlaybookRunner` is the remediation engine an executor (fault
-campaign or facility scheduler) notifies at every fault injection.  Per
-fault it runs the full pipeline as engine events:
+:class:`PlaybookRunner` is the remediation engine the
+:class:`~repro.faults.executor.FaultExecutor` notifies at every fault
+injection, whether the fault campaign or the facility scheduler drives
+it.  Per fault it runs the full pipeline as engine events:
 
 * **detect** — the :class:`~repro.resilience.detector.Detector` turns the
   onset into an alert time (poll grid + missed sweeps + debounce);
@@ -12,8 +13,8 @@ fault it runs the full pipeline as engine events:
   automation exhausts its attempts; failover/reroute playbooks append the
   §IV-D recovery window (``simulate_recovery`` /
   ``simulate_router_failure`` under ``DEFAULT_RECOVERY_SPEC``), then the
-  :class:`~repro.resilience.actuator.Actuator` applies the repair so the
-  flow network re-solves;
+  executor's ``repair`` callable applies the repair through the same
+  path as a scripted one, so the flow network re-solves;
 * **verify** — the green-check latency before the fault is declared
   closed.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.faults.events import PlannedFault
 from repro.lustre.recovery import (
@@ -39,7 +41,6 @@ from repro.lustre.recovery import (
 )
 from repro.obs.instruments import get_telemetry
 from repro.obs.trace import get_tracer
-from repro.resilience.actuator import Actuator
 from repro.resilience.detector import Detector
 from repro.resilience.playbooks import (
     Playbook,
@@ -208,7 +209,9 @@ class PlaybookRunner:
     Args:
         policy: the pure-configuration :class:`RemediationPolicy`.
         engine: the executor's engine; all stages are events on it.
-        actuator: the write path into the executor's repair machinery.
+        repair: the executor's repair path
+            (:meth:`~repro.faults.executor.FaultExecutor.repair`); returns
+            ``False`` when the scripted repair already fired.
         n_clients: connected clients, sizing the failover reconnect storm.
         n_routers: LNET routers, sizing the per-router client share for
             reroute tails (0 when the system has none).
@@ -228,22 +231,17 @@ class PlaybookRunner:
         policy: RemediationPolicy,
         *,
         engine: Engine,
-        actuator: Actuator,
+        repair: Callable[[PlannedFault], bool],
         n_clients: int,
         n_routers: int = 0,
         playbooks: dict | None = None,
         detector=None,
-        epoch=None,
     ) -> None:
         if n_clients <= 0:
             raise ValueError("n_clients must be positive")
         self.policy = policy
         self._engine = engine
-        self._actuator = actuator
-        #: optional :class:`~repro.core.flow.Epoch` — repair actuations
-        #: are applied inside it so the re-solves a repair triggers batch
-        #: with everything else landing at the same instant
-        self._epoch = epoch
+        self._repair = repair
         self._n_clients = int(n_clients)
         self._n_routers = int(n_routers)
         self._playbooks = playbooks
@@ -366,11 +364,7 @@ class PlaybookRunner:
 
     def _act_complete(self, ctx: _Remediation) -> None:
         ctx.acted_at = self._engine.now
-        if self._epoch is not None:
-            with self._epoch:
-                ctx.applied = self._actuator.repair(ctx.fault)
-        else:
-            ctx.applied = self._actuator.repair(ctx.fault)
+        ctx.applied = self._repair(ctx.fault)
         tracer = get_tracer()
         tracer.end(ctx.act_span, applied=ctx.applied,
                    escalated=ctx.escalated, attempts=ctx.attempts)

@@ -16,10 +16,11 @@ next phase completion is scheduled as an engine event and invalidated
 state change re-solves first.
 
 Composition with :mod:`repro.faults` runs a chaos campaign *under
-load*: injectors mutate the live system, the backbone capacity is
-recomputed from it on the next allocation, and the damage lands in
-job-visible metrics (slowdown, drain overrun, latency probe) instead of
-raw bandwidth alone.
+load* through the same :class:`~repro.faults.executor.FaultExecutor` the
+idle-probe campaign uses: injectors mutate the live system, the backbone
+capacity is recomputed from it on the next allocation, and the damage
+lands in job-visible metrics (slowdown, drain overrun, latency probe)
+instead of raw bandwidth alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from repro.analysis.interference import isolated_and_shared
 from repro.core.flow import Epoch
 from repro.core.spider import SpiderSystem
-from repro.faults.injectors import injector_for
+from repro.faults.executor import FaultExecutor
 from repro.faults.plan import FaultPlan
 from repro.obs.instruments import get_telemetry
 from repro.obs.trace import get_tracer, instrument_engine
@@ -56,7 +57,7 @@ from repro.workloads.model import RequestTrace
 if TYPE_CHECKING:
     from repro.network.routing import BackpressureController
     from repro.resilience.playbooks import RemediationPolicy
-    from repro.resilience.runner import PlaybookRunner, RemediationOutcome
+    from repro.resilience.runner import RemediationOutcome
 
 __all__ = ["FacilityScheduler"]
 
@@ -78,6 +79,10 @@ _DONE_EPS_S = 1e-6
 
 #: shared empty float vector for idle settle-vector state
 _EMPTY_F = np.empty(0)
+
+#: timeline label prefix per fault executor phase
+_FAULT_LABELS = {"injected": "fault", "repaired": "repair",
+                 "recovered": "recovered"}
 
 #: rate floor used when projecting the next phase-completion time — far
 #: below any physical rate, far above the underflow range (see _flush)
@@ -163,7 +168,6 @@ class _RunState:
     epoch: int = 0
     n_submitted: int = 0
     n_finished: int = 0
-    n_fault_events: int = 0
     makespan: float = 0.0
     #: ``(dt, non-analytics allocated rate)`` per settle interval in
     #: which at least one analytics I/O phase was active
@@ -245,9 +249,7 @@ class FacilityScheduler:
         self._queues: dict[PlatformClass, deque[_Job]] = {}
         self._finished: list[_Job] = []
         self._submitted: list[_Job] = []
-        self._tokens: dict[object, object] = {}
-        self._fault_spans: dict[object, object] = {}
-        self._runner: "PlaybookRunner | None" = None
+        self._faults: FaultExecutor | None = None
         self._epoch: Epoch | None = None
         # settle vectors: the active I/O phases as of the last flush, in
         # _active_io insertion order (jobs added since are appended to
@@ -425,53 +427,11 @@ class FacilityScheduler:
 
     # -- fault composition ---------------------------------------------------
 
-    def _inject_fault(self, fault) -> None:
-        injector = injector_for(fault)
-        self._tokens[fault] = injector.inject(self.system, fault)
-        self._state.n_fault_events += 1
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.counter("sched.faults", fault.fault.value).add(1.0)
-        self._fault_spans[fault] = get_tracer().open(
-            f"fault:{fault.label}", "sched.faults", target=str(fault.target))
+    def _fault_changed(self, fault, injector, phase: str) -> None:
+        """Executor hook: a fault changed the live system, so recompute
+        the backbone at the next allocation round."""
         self._backbone_dirty = True
-        self._resolve(f"fault:{fault.label}")
-        if self._runner is not None:
-            engine = self._engine
-            assert engine is not None
-            self._runner.on_fault(fault, engine.now)
-
-    def _repair_fault(self, fault) -> None:
-        # Scripted repair and remediation share this path; whichever runs
-        # first consumes the token and the other becomes a no-op.
-        if fault not in self._tokens:
-            return
-        engine = self._engine
-        assert engine is not None
-        injector = injector_for(fault)
-        followup = injector.repair(self.system, fault,
-                                   self._tokens.pop(fault, None))
-        self._state.n_fault_events += 1
-        get_tracer().end(self._fault_spans.pop(fault, None), repaired=True)
-        self._backbone_dirty = True
-        self._resolve(f"repair:{fault.label}")
-        if followup is not None:
-            delay, fn = followup
-
-            def _finish() -> None:
-                fn()
-                self._state.n_fault_events += 1
-                self._backbone_dirty = True
-                self._resolve(f"recovered:{fault.label}")
-
-            engine.call_after(delay, _finish)
-
-    def _remediate_repair(self, fault) -> bool:
-        """Actuator entry point: repair ``fault`` unless already repaired."""
-        if fault not in self._tokens:
-            return False
-        self._repair_fault(fault)
-        return True
+        self._resolve(f"{_FAULT_LABELS[phase]}:{fault.label}")
 
     # -- the allocation loop -------------------------------------------------
 
@@ -647,33 +607,8 @@ class FacilityScheduler:
         self._queues = {cls: deque() for cls in PlatformClass}
         self._finished.clear()
         self._submitted.clear()
-        self._tokens.clear()
-        self._fault_spans.clear()
         self._backbone_dirty = True
-
-        self._runner = None
         self.remediation_outcome = None
-        if self.fault_plan is not None and self.remediation is not None:
-            # Imported lazily: repro.resilience imports the faults package
-            # at module level, so the scheduler must not return the favor.
-            from repro.resilience.actuator import CallbackActuator
-            from repro.resilience.runner import PlaybookRunner
-
-            self._runner = PlaybookRunner(
-                self.remediation,
-                engine=engine,
-                actuator=CallbackActuator(
-                    repair=self._remediate_repair,
-                    pending=lambda f: f in self._tokens,
-                ),
-                # Sched systems are usually built without client objects;
-                # fall back to the compute-partition size for the
-                # reconnect-storm scale.
-                n_clients=(len(self.system.clients)
-                           or self.system.spec.n_compute_nodes),
-                n_routers=len(self.system.routers),
-                epoch=self._epoch,
-            )
 
         runtime_jobs = [_Job(spec, code=self._class_code[spec.platform])
                         for spec in self.jobs]
@@ -681,15 +616,11 @@ class FacilityScheduler:
             if job.spec.arrival < self.horizon:
                 engine.call_at(job.spec.arrival,
                                lambda j=job: self._submit(j))
+        self._faults = None
         if self.fault_plan is not None:
-            for fault in self.fault_plan:
-                if fault.time < self.horizon:
-                    engine.call_at(fault.time,
-                                   lambda f=fault: self._inject_fault(f))
-                if math.isfinite(fault.repair_time) and \
-                        fault.repair_time < self.horizon:
-                    engine.call_at(fault.repair_time,
-                                   lambda f=fault: self._repair_fault(f))
+            self._faults = FaultExecutor(
+                self.system, self.fault_plan, engine=engine,
+                changed=self._fault_changed, remediation=self.remediation)
         engine.run(until=self.horizon)
         # Account the tail interval and close censored spans.
         self._settle(self.horizon)
@@ -705,11 +636,8 @@ class FacilityScheduler:
             if job.span is not None:
                 tracer.end(job.span, finished=False)
                 job.span = None
-        for fault, span in list(self._fault_spans.items()):
-            tracer.end(span, repaired=False)
-        self._fault_spans.clear()
-        if self._runner is not None:
-            self.remediation_outcome = self._runner.finalize()
+        if self._faults is not None:
+            self.remediation_outcome = self._faults.finish()
         return self._result()
 
     # -- metrics -------------------------------------------------------------
@@ -813,6 +741,9 @@ class FacilityScheduler:
             for value in sorted(by_class))
         satisfactions = [o.satisfaction for o in outcomes
                          if o.satisfaction is not None]
+        faults = self._faults
+        n_fault_events = (0 if faults is None else faults.n_injected
+                          + faults.n_repaired + faults.n_recovered)
         return SchedResult(
             horizon=self.horizon,
             qos_enabled=self.policy.enabled,
@@ -820,7 +751,7 @@ class FacilityScheduler:
             n_submitted=state.n_submitted,
             n_finished=state.n_finished,
             n_censored=state.n_submitted - state.n_finished,
-            n_fault_events=state.n_fault_events,
+            n_fault_events=n_fault_events,
             makespan=state.makespan if state.n_finished else self.horizon,
             class_summaries=summaries,
             outcomes=tuple(outcomes),

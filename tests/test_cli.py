@@ -265,6 +265,14 @@ class TestErrorPaths:
         (["chaos", "--threshold", "1"], "--threshold"),
         (["resilience", "--threshold", "2"], "--threshold"),
         (["monitor", "--threshold", "1"], "--threshold"),
+        (["sched", "--duration", "1"], "--duration"),
+        (["sched", "--duration", "nan"], "--duration"),
+        (["sched", "--rate-scale", "nan"], "--rate-scale"),
+        (["chaos", "--duration", "nan"], "--duration"),
+        (["monitor", "--scenario", "random", "--duration", "nan"],
+         "--duration"),
+        (["resilience", "--scenario", "week", "--duration", "nan"],
+         "--duration"),
     ])
     def test_bad_campaign_arguments_are_clean_failures(self, argv, flag,
                                                        capsys):

@@ -16,7 +16,7 @@ from repro.units import MiB
 from tests.conftest import assert_reproducible, fresh_system
 from tests.test_faults import run_random
 from tests.test_obs_overlay import run_cable_with_overlay
-from tests.test_resilience import run_cable
+from tests.test_resilience import run_cable, run_sched
 from tests.test_routing_storm import quick_study
 from tests.test_sched import caps_pair
 
@@ -34,6 +34,8 @@ RUNS = {
         segment_bytes=4 * MiB, seed=seed)),
     "storm_study": lambda seed: quick_study(seed=seed),
     "sched_caps_pair": caps_pair,
+    "remediated_sched": lambda seed: run_sched(
+        RemediationPolicy(seed=seed), seed=seed),
 }
 
 

@@ -12,7 +12,6 @@ from repro.faults.plan import cable_failure_scenario
 from repro.obs.trace import Tracer, use_tracer
 from repro.resilience import (
     PLAYBOOKS,
-    CallbackActuator,
     DetectionModel,
     Detector,
     Playbook,
@@ -115,9 +114,7 @@ class TestPlaybookRunner:
         fault = PlannedFault(time=0.0, fault=playbook.fault_class, target=0)
         runner = PlaybookRunner(
             policy, engine=engine,
-            actuator=CallbackActuator(
-                repair=lambda f: tokens.pop(0, None) is not None,
-                pending=lambda f: 0 in tokens),
+            repair=lambda f: tokens.pop(0, None) is not None,
             n_clients=64, n_routers=4,
             playbooks={playbook.fault_class: playbook})
         runner.on_fault(fault, engine.now)
@@ -171,9 +168,7 @@ class TestPlaybookRunner:
     def test_rejects_nonpositive_clients(self):
         with pytest.raises(ValueError):
             PlaybookRunner(
-                RemediationPolicy(), engine=Engine(),
-                actuator=CallbackActuator(repair=lambda f: True,
-                                          pending=lambda f: False),
+                RemediationPolicy(), engine=Engine(), repair=lambda f: True,
                 n_clients=0)
 
 
@@ -262,30 +257,31 @@ class TestPairedStudy:
         assert result.automated.remediation.class_rows()
 
 
+def run_sched(policy: RemediationPolicy | None, seed: int = 3):
+    """A faulted scheduler run: ``(SchedResult, remediation outcome)``."""
+    from repro.sched.arrivals import JobMix, generate_jobs
+    from repro.sched.scheduler import FacilityScheduler
+
+    system = fresh_system(build_clients=False)
+    jobs = generate_jobs(
+        JobMix(), duration=20_000.0, seed=11,
+        reference_bandwidth=system.aggregate_bandwidth(fs_level=True))
+    plan = FaultPlan.random(system, duration=20_000.0, n_faults=3, seed=5)
+    sched = FacilityScheduler(system, jobs, fault_plan=plan, seed=seed,
+                              remediation=policy)
+    return sched.run(), sched.remediation_outcome
+
+
 class TestSchedulerRemediation:
-    def _run(self, policy):
-        from repro.sched.arrivals import JobMix, generate_jobs
-        from repro.sched.scheduler import FacilityScheduler
-
-        system = fresh_system(build_clients=False)
-        jobs = generate_jobs(
-            JobMix(), duration=20_000.0, seed=11,
-            reference_bandwidth=system.aggregate_bandwidth(fs_level=True))
-        plan = FaultPlan.random(system, duration=20_000.0, n_faults=3,
-                                seed=5)
-        sched = FacilityScheduler(system, jobs, fault_plan=plan, seed=3,
-                                  remediation=policy)
-        return sched.run(), sched.remediation_outcome
-
     def test_outcome_recorded_and_deterministic(self):
-        r1, o1 = self._run(RemediationPolicy(seed=3))
-        r2, o2 = self._run(RemediationPolicy(seed=3))
+        r1, o1 = run_sched(RemediationPolicy(seed=3))
+        r2, o2 = run_sched(RemediationPolicy(seed=3))
         assert o1 is not None and o1.n_faults == 3
         assert r1 == r2
         assert o1 == o2
 
     def test_no_policy_no_outcome(self):
-        _result, outcome = self._run(None)
+        _result, outcome = run_sched(None)
         assert outcome is None
 
 
