@@ -247,8 +247,7 @@ def _cmd_workload(args) -> int:
     from repro.analysis.workload_stats import characterize
     from repro.workloads.mixed import spider_mixed_workload
 
-    if args.hours <= 0:
-        raise CliError("--hours must be positive")
+    _require_positive(args.hours, "--hours")
     _wl, trace = spider_mixed_workload(duration=args.hours * HOUR,
                                        seed=args.seed)
     print(render_table(["metric", "value"], characterize(trace).rows(),
@@ -638,8 +637,8 @@ def _cmd_storm(args) -> int:
 
     if args.clients < 1 or args.stripe < 1:
         raise CliError("--clients and --stripe must be positive")
-    if args.link_bw <= 0:
-        raise CliError("--link-bw must be positive")
+    _require_positive(args.link_bw, "--link-bw")
+    _require_positive(args.duration, "--duration")
     if not 0 < args.shed <= 1:
         raise CliError("--shed must be in (0, 1]")
     # The storm regime is scarce row bandwidth: the default --link-bw
@@ -726,8 +725,7 @@ def _cmd_reliability(args) -> int:
     from repro.analysis.reporting import render_table
     from repro.ops.reliability import ReliabilitySim
 
-    if args.years <= 0:
-        raise CliError("--years must be positive")
+    _require_positive(args.years, "--years")
     sim = ReliabilitySim(declustered=args.declustered, seed=args.seed)
     report = sim.run(years=args.years)
     mode = "declustered" if args.declustered else "conventional"

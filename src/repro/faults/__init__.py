@@ -15,7 +15,8 @@ catalogue into executable campaigns:
 * :mod:`repro.faults.executor` — :class:`FaultExecutor` runs a plan's
   inject/repair lifecycle on its owner's engine (tokens, counters, spans,
   optional closed-loop remediation) and calls the owner back at each
-  state change; the campaign and the facility scheduler both use it;
+  state change; the campaign, the facility scheduler and the metatier
+  study all use it;
 * :mod:`repro.faults.campaign` — :class:`FaultCampaign` executes a plan on
   the discrete-event engine, re-solves the flow network at every state
   change, feeds the health checker, and returns a
@@ -40,7 +41,6 @@ from repro.faults.plan import (
     FaultPlan,
     cable_failure_scenario,
     flapping_router_scenario,
-    hotspot_storm_scenario,
     incident_2010_scenario,
 )
 
@@ -54,7 +54,6 @@ __all__ = [
     "cable_failure_scenario",
     "incident_2010_scenario",
     "flapping_router_scenario",
-    "hotspot_storm_scenario",
     "FaultExecutor",
     "FaultCampaign",
     "CampaignResult",

@@ -1,9 +1,11 @@
 """The fault executor: one inject/repair lifecycle for every fault run.
 
 A :class:`FaultExecutor` runs a :class:`~repro.faults.plan.FaultPlan` on its
-owner's engine.  Both fault runs use it: the
-:class:`~repro.faults.campaign.FaultCampaign` on an idle probe workload
-and the :class:`~repro.sched.scheduler.FacilityScheduler` under job load.
+owner's engine.  Every fault run uses it: the
+:class:`~repro.faults.campaign.FaultCampaign` on an idle probe workload,
+the :class:`~repro.sched.scheduler.FacilityScheduler` under job load, and
+the metatier study (:func:`~repro.metatier.study.run_meta_study`) on
+each tier.
 The executor owns everything a fault's lifetime has in common:
 
 * every planned onset and every finite scripted repair is an engine event;
@@ -53,7 +55,9 @@ class FaultExecutor:
     in the engine's same-instant order.
 
     Args:
-        system: the system the injectors mutate.
+        system: the system the injectors mutate; any object with the
+            surfaces the plan's injectors read will do (the metatier
+            study passes its tier).
         plan: the fault schedule.
         engine: the owner's engine.
         changed: the owner hook, called after each injection, repair and

@@ -32,7 +32,7 @@ CABLE_DEGRADE       host name (OSS or router); ``magnitude`` = bw multiplier
 CABLE_FAIL          host name (OSS or router)
 CONTROLLER_FAIL     SSU index (controller ``a`` of that couplet dies)
 ROUTER_FAIL         router name
-MDS_OVERLOAD        namespace name; ``magnitude`` scales the stat storm
+MDS_OVERLOAD        namespace name (its MDT 0); ``magnitude`` scales the storm
 OST_FILL            OST index; ``magnitude`` = target fill fraction
 ENCLOSURE_OFFLINE   ``(ssu index, enclosure index)`` pair
 =================== =========================================================
@@ -226,10 +226,10 @@ class MdsOverloadInjector(Injector):
     resolves_flow = False
 
     def host(self, system, fault):
-        return system.filesystems[str(fault.target)].mds.name
+        return system.filesystems[str(fault.target)].mds_servers[0].name
 
     def inject(self, system, fault):
-        mds = system.filesystems[str(fault.target)].mds
+        mds = system.filesystems[str(fault.target)].mds_servers[0]
         storm = OpMix(stats=int(200_000 * fault.magnitude), mean_stripe_count=4.0)
         return mds.service_time(storm)
 

@@ -32,7 +32,7 @@ from repro.sim.rng import RngStreams
 from repro.units import HOUR
 
 __all__ = ["FaultPlan", "cable_failure_scenario", "incident_2010_scenario",
-           "flapping_router_scenario", "hotspot_storm_scenario"]
+           "flapping_router_scenario"]
 
 
 class FaultPlan:
@@ -222,30 +222,4 @@ def flapping_router_scenario(
         PlannedFault(start + k * period, FaultClass.ROUTER_FAIL, router,
                      duration=period / 2)
         for k in range(cycles)
-    ])
-
-
-def hotspot_storm_scenario(
-    system: SpiderSystem,
-    *,
-    router_name: str | None = None,
-    storm_start: float = HOUR,
-    fail_after: float = 600.0,
-    outage: float = 1200.0,
-) -> FaultPlan:
-    """A router failure landing mid-storm on the already-hot victim zone.
-
-    The compound case the storm study injects: while an all-to-one read
-    storm (see :func:`repro.sched.arrivals.storm_jobs`) is collapsing the
-    victim links, one of the routers serving the victim leaf drops out
-    ``fail_after`` seconds into the storm and returns ``outage`` seconds
-    later — so the routing layer must re-spread around congestion *and*
-    absorb a topology change at once.
-    """
-    if storm_start < 0 or fail_after < 0 or outage <= 0:
-        raise ValueError("times must be non-negative and outage positive")
-    router = router_name or system.routers[0].name
-    return FaultPlan([
-        PlannedFault(storm_start + fail_after, FaultClass.ROUTER_FAIL,
-                     router, duration=outage),
     ])

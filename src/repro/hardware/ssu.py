@@ -24,7 +24,6 @@ from repro.hardware.controller import ControllerCouplet, ControllerSpec
 from repro.hardware.disk import DiskPopulation, DiskSpec
 from repro.hardware.enclosure import EnclosureGroup
 from repro.hardware.raid import RaidGeometry, RaidGroup, RaidState, group_bandwidths
-from repro.sim.rng import RngStreams
 
 __all__ = ["SsuSpec", "Ssu"]
 
@@ -200,10 +199,3 @@ class Ssu:
             f"Ssu({self.name}, disks={self.spec.n_disks}, "
             f"groups={self.spec.n_groups})"
         )
-
-
-def build_population_for(
-    n_ssus: int, spec: SsuSpec, *, rng: RngStreams | None = None
-) -> DiskPopulation:
-    """A disk population sized for ``n_ssus`` SSUs of the given spec."""
-    return DiskPopulation(n_ssus * spec.n_disks, spec.disk, rng=rng)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import ast
 from typing import Callable, Iterable
 
-__all__ = ["DataflowAnalysis", "SET_LABEL", "call_chain_root"]
+__all__ = ["DataflowAnalysis", "SET_LABEL"]
 
 #: the label :class:`DataflowAnalysis` uses for "statically a set" —
 #: shared between the engine's built-in set classification and the
@@ -46,22 +46,6 @@ SET_LABEL = "unordered-set"
 _ORDER_LAUNDERERS = frozenset({"sorted", "min", "max", "len", "sum"})
 
 _EMPTY: frozenset[str] = frozenset()
-
-
-def call_chain_root(node: ast.AST) -> ast.AST:
-    """The base object of an ``a.b(x).c.d(...)`` chain (``a`` here).
-
-    Walks through attribute accesses and call results; the root is the
-    first node that is neither — typically a :class:`ast.Name`, a
-    literal, or a subscript.
-    """
-    while True:
-        if isinstance(node, ast.Attribute):
-            node = node.value
-        elif isinstance(node, ast.Call):
-            node = node.func
-        else:
-            return node
 
 
 class DataflowAnalysis:

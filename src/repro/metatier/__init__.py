@@ -14,7 +14,10 @@ architectural answer out of ideas proven at comparable scale:
 * :mod:`repro.metatier.warmtier` — the f4-style erasure-coded warm tier
   (2.1x vs replication) with age-based migration on sim time;
 * :mod:`repro.metatier.scenarios` — metadata-heavy workload generators
-  (untar storms, training reads, purge/audit sweeps) and fault plans;
+  (untar storms, training reads, purge/audit sweeps) and the study's
+  standing :class:`~repro.faults.plan.FaultPlan`, which runs through the
+  shared :class:`~repro.faults.executor.FaultExecutor` like every other
+  fault in the repo;
 * :mod:`repro.metatier.study` — the paired study: per-file single-MDS
   baseline vs aggregated+sharded tier on one timeline and seed.
 """
@@ -34,8 +37,6 @@ from repro.metatier.needles import (
 from repro.metatier.scenarios import (
     AggregatedTier,
     AuditSweep,
-    MetaFault,
-    MetaFaultPlan,
     PerFileTier,
     TinyFileSizes,
     TrainingReads,
@@ -68,8 +69,6 @@ __all__ = [
     "EncodingScheme",
     "F4_EC",
     "HaystackDirectory",
-    "MetaFault",
-    "MetaFaultPlan",
     "MetaStudyResult",
     "MetaStudySpec",
     "MigrationReport",

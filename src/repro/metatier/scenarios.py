@@ -19,14 +19,18 @@ real namespace entry on one MDS: the baseline) or :class:`AggregatedTier`
 through the same verbs, so every difference in MDS busy time is
 attributable to the tier, not the workload.
 
-:class:`MetaFaultPlan` injects the two metadata-relevant fault classes
-(MDS overload storms, OST fill) into either arm at scripted sim times.
+:func:`default_fault_plan` builds the study's two metadata-relevant
+faults (an MDS overload storm, an OST fill) as an ordinary
+:class:`~repro.faults.plan.FaultPlan`; the study runs it on either arm
+through the shared :class:`~repro.faults.executor.FaultExecutor`, with
+the tier as the injectors' target surface.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.lustre.filesystem import LustreFilesystem
 from repro.lustre.mds import OpMix
@@ -39,6 +43,9 @@ from repro.sim.engine import Engine, ProcessGenerator
 from repro.sim.rng import RngStreams
 from repro.units import DAY, HOUR, KiB
 
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
+
 __all__ = [
     "PerFileTier",
     "AggregatedTier",
@@ -47,8 +54,6 @@ __all__ = [
     "TrainingReads",
     "AuditSweep",
     "AuditReport",
-    "MetaFault",
-    "MetaFaultPlan",
     "default_fault_plan",
 ]
 
@@ -78,9 +83,10 @@ class TinyFileSizes:
 
 
 class _Tier:
-    """What both tiers share: the logical counters, the directory and
-    overload verbs, and the metadata accounting over ``fs.mds_servers``
-    (one MDS on the baseline, one per shard on the aggregated tier)."""
+    """What both tiers share: the logical counters, the directory verb,
+    the fault injectors' target surface, and the metadata accounting over
+    ``fs.mds_servers`` (one MDS on the baseline, one per shard on the
+    aggregated tier)."""
 
     def __init__(self, fs: LustreFilesystem | ShardedFilesystem) -> None:
         self.fs = fs
@@ -93,16 +99,14 @@ class _Tier:
         """Create one directory."""
         self.fs.mkdir(path, now)
 
-    def overload(self, shard: int, magnitude: float) -> None:
-        """An MDS-overload impulse (a recursive ``du`` storm) against one
-        metadata server."""
-        servers = self.fs.mds_servers
-        servers[shard % len(servers)].service_time(
-            OpMix(stats=int(50_000 * magnitude), mean_stripe_count=4.0))
+    @property
+    def filesystems(self) -> dict:
+        """``{fs.name: fs}``: the MDS-overload target surface."""
+        return {self.fs.name: self.fs}
 
     @property
     def osts(self) -> list:
-        """The backing OST pool (fault-plan target surface)."""
+        """The backing OST pool: the OST-fill target surface."""
         return self.fs.osts
 
     @property
@@ -396,56 +400,16 @@ class AuditSweep:
         tier.housekeep(now)
 
 
-@dataclass(frozen=True)
-class MetaFault:
-    """One scripted fault: ``kind`` is ``mds-overload`` or ``ost-fill``."""
+def default_fault_plan(
+        fs: LustreFilesystem | ShardedFilesystem) -> FaultPlan:
+    """The study's standing plan: an MDS storm on ``fs``'s first metadata
+    server, then OST 0 filled to 90% and drained 20,000 s later."""
+    # Imported lazily: repro.faults pulls in the whole system model.
+    from repro.faults import FaultClass, FaultPlan, PlannedFault
 
-    time: float
-    kind: str
-    target: int = 0
-    magnitude: float = 1.0
-    repair_after: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("mds-overload", "ost-fill"):
-            raise ValueError(f"unknown fault kind: {self.kind!r}")
-        if self.time < 0:
-            raise ValueError("fault time must be non-negative")
-
-
-@dataclass
-class MetaFaultPlan:
-    """Scripted metadata-path faults, replayed identically on both arms."""
-
-    faults: list[MetaFault] = field(default_factory=list)
-
-    def install(self, engine: Engine, tier) -> None:
-        """Schedule every fault (and its repair) on ``engine``."""
-        for fault in self.faults:
-            engine.call_at(fault.time, self._apply(engine, tier, fault))
-
-    def _apply(self, engine: Engine, tier, fault: MetaFault):
-        def _fire() -> None:
-            if fault.kind == "mds-overload":
-                tier.overload(fault.target, fault.magnitude)
-                return
-            ost = tier.osts[fault.target % len(tier.osts)]
-            target_bytes = int(min(1.0, fault.magnitude)
-                               * ost.spec.capacity_bytes)
-            nbytes = max(0, target_bytes - ost.used_bytes)
-            if nbytes:
-                ost.allocate(nbytes)
-            if fault.repair_after is not None and nbytes:
-                engine.call_after(fault.repair_after,
-                                  lambda: ost.release(nbytes))
-        return _fire
-
-
-def default_fault_plan() -> MetaFaultPlan:
-    """The study's standing plan: one MDS storm, one OST fill + drain."""
-    return MetaFaultPlan(faults=[
-        MetaFault(time=10_000.0, kind="mds-overload", target=0,
-                  magnitude=1.0),
-        MetaFault(time=20_000.0, kind="ost-fill", target=0, magnitude=0.9,
-                  repair_after=20_000.0),
+    return FaultPlan([
+        PlannedFault(10_000.0, FaultClass.MDS_OVERLOAD, fs.name,
+                     magnitude=0.25),
+        PlannedFault(20_000.0, FaultClass.OST_FILL, 0, duration=20_000.0,
+                     magnitude=0.9),
     ])

@@ -201,11 +201,18 @@ def _run_arm(tier, spec: MetaStudySpec) -> tuple[int, "AuditSweep"]:
     audit = AuditSweep(storm.manifest, max_age=spec.purge_age,
                        interval=spec.audit_interval)
     audit.install(engine, tier)
+    executor = None
     if spec.with_faults:
-        default_fault_plan().install(engine, tier)
+        # Imported lazily: repro.faults pulls in the whole system model.
+        from repro.faults import FaultExecutor
+
+        executor = FaultExecutor(tier, default_fault_plan(tier.fs),
+                                 engine=engine, changed=lambda *_: None)
     with get_tracer().span(f"meta:arm:{tier.name}", "metatier",
                            files=spec.n_files):
         engine.run(until=spec.horizon)
+    if executor is not None:
+        executor.finish()
     purged = sum(r.purged for r in audit.reports)
     return purged, audit
 

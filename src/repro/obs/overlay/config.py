@@ -14,6 +14,7 @@ a paired study can sweep cadence and fan-in without touching code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["OverlayConfig"]
@@ -61,18 +62,24 @@ class OverlayConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.scrape_interval <= 0:
-            raise ValueError("scrape_interval must be positive")
-        if self.hop_latency < 0:
-            raise ValueError("hop_latency must be non-negative")
+        # NaN compares False to everything, so each time check is written
+        # to fail on it, and infinities are rejected explicitly.
+        if not (math.isfinite(self.scrape_interval)
+                and self.scrape_interval > 0):
+            raise ValueError("scrape_interval must be positive and finite")
+        if not (math.isfinite(self.hop_latency) and self.hop_latency >= 0):
+            raise ValueError("hop_latency must be non-negative and finite")
         if self.fan_in < 2:
             raise ValueError("fan_in must be at least 2")
         if not (0 <= self.loss_probability < 1):
             raise ValueError("loss_probability must be in [0, 1)")
-        if self.rollup_interval <= 0:
-            raise ValueError("rollup_interval must be positive")
-        if self.staleness_limit is not None and self.staleness_limit <= 0:
-            raise ValueError("staleness_limit must be positive")
+        if not (math.isfinite(self.rollup_interval)
+                and self.rollup_interval > 0):
+            raise ValueError("rollup_interval must be positive and finite")
+        if self.staleness_limit is not None and not (
+                math.isfinite(self.staleness_limit)
+                and self.staleness_limit > 0):
+            raise ValueError("staleness_limit must be positive and finite")
 
     @property
     def effective_staleness_limit(self) -> float:

@@ -22,7 +22,7 @@ from repro.sched.jobs import JobSpec, Phase, PlatformClass
 from repro.sim.rng import RngStreams
 from repro.units import HOUR, MINUTE
 
-__all__ = ["JobMix", "generate_jobs", "storm_jobs"]
+__all__ = ["JobMix", "generate_jobs"]
 
 
 @dataclass(frozen=True)
@@ -156,44 +156,5 @@ def generate_jobs(
         jobs.append(JobSpec(f"dtn-{i:04d}", PlatformClass.DATA_TRANSFER, arrival,
                             (Phase.io(demand * active_s, demand),)))
 
-    jobs.sort(key=lambda j: (j.arrival, j.name))
-    return tuple(jobs)
-
-
-def storm_jobs(
-    *,
-    n_jobs: int,
-    start: float,
-    spread: float,
-    demand_fraction: float,
-    active_seconds: float,
-    seed: int,
-    reference_bandwidth: float,
-) -> tuple[JobSpec, ...]:
-    """An all-to-one analytics read storm: the hot-spot stress class.
-
-    ``n_jobs`` analytics jobs arrive nearly at once (uniform over
-    ``[start, start + spread)``), each demanding ``demand_fraction`` of
-    the reference bandwidth for ``active_seconds`` of isolated drain —
-    the §VI-style "everyone reads the same dataset" burst whose
-    aggregate collapses whatever links static routing concentrates it
-    on.  Draws come from the dedicated ``arrivals:storm`` substream, so
-    composing a storm onto a :func:`generate_jobs` population (merge and
-    re-sort) perturbs no background job.
-    """
-    if n_jobs < 1:
-        raise ValueError("need at least one storm job")
-    if spread < 0 or active_seconds <= 0:
-        raise ValueError("spread must be >= 0 and active_seconds > 0")
-    if demand_fraction <= 0 or reference_bandwidth <= 0:
-        raise ValueError("demand and reference bandwidth must be positive")
-    gen = RngStreams(seed).get("arrivals:storm")
-    demand = demand_fraction * reference_bandwidth
-    jobs = [
-        JobSpec(f"storm-{i:04d}", PlatformClass.ANALYTICS,
-                start + float(gen.uniform(0.0, spread)) if spread > 0 else start,
-                (Phase.io(demand * active_seconds, demand),))
-        for i in range(n_jobs)
-    ]
     jobs.sort(key=lambda j: (j.arrival, j.name))
     return tuple(jobs)

@@ -273,6 +273,15 @@ class TestErrorPaths:
          "--duration"),
         (["resilience", "--scenario", "week", "--duration", "nan"],
          "--duration"),
+        (["workload", "--hours", "nan"], "--hours"),
+        (["workload", "--hours", "inf"], "--hours"),
+        (["reliability", "--years", "nan"], "--years"),
+        (["reliability", "--years", "inf"], "--years"),
+        (["storm", "--duration", "inf"], "--duration"),
+        (["storm", "--link-bw", "nan"], "--link-bw"),
+        (["monitor", "--scrape-interval", "nan"], "scrape_interval"),
+        (["monitor", "--rollup-interval", "nan"], "rollup_interval"),
+        (["monitor", "--hop-latency", "nan"], "hop_latency"),
     ])
     def test_bad_campaign_arguments_are_clean_failures(self, argv, flag,
                                                        capsys):

@@ -8,7 +8,6 @@ from repro.core.path import PathBuilder, Transfer
 from repro.faults import (
     FaultClass,
     flapping_router_scenario,
-    hotspot_storm_scenario,
     injector_for,
 )
 from repro.lustre.client import Client
@@ -170,15 +169,3 @@ class TestScenarioShapes:
             flapping_router_scenario(mini_system, cycles=0)
         with pytest.raises(ValueError):
             flapping_router_scenario(mini_system, period=0.0)
-
-    def test_hotspot_scenario_layout(self, mini_system):
-        plan = hotspot_storm_scenario(mini_system, storm_start=1000.0,
-                                      fail_after=200.0, outage=300.0)
-        (fault,) = plan.faults
-        assert fault.time == 1200.0
-        assert fault.duration == 300.0
-        assert fault.fault is FaultClass.ROUTER_FAIL
-
-    def test_hotspot_scenario_validation(self, mini_system):
-        with pytest.raises(ValueError):
-            hotspot_storm_scenario(mini_system, outage=0.0)
