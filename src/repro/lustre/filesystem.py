@@ -74,10 +74,6 @@ class OstPool:
         """Look up one OST by global index."""
         return self._ost_by_index[index]
 
-    def fill_fractions(self) -> np.ndarray:
-        """Per-OST fill levels, in OST-list order."""
-        return np.array([o.fill_fraction for o in self.osts])
-
     # -- allocation ------------------------------------------------------------------
 
     def choose_osts(self, stripe_count: int) -> tuple[int, ...]:
@@ -85,15 +81,15 @@ class OstPool:
         toward free space when imbalance exceeds ``qos_threshold`` (the
         behaviour of Lustre's QOS allocator)."""
         stripe_count = min(stripe_count, len(self.osts))
-        fills = self.fill_fractions()
-        if fills.max() - fills.min() <= self.qos_threshold:
+        fills = [o.fill_fraction for o in self.osts]
+        if max(fills) - min(fills) <= self.qos_threshold:
             start = next(self._rr)
             return tuple(
                 self.osts[(start + i) % len(self.osts)].index
                 for i in range(stripe_count)
             )
         # Imbalanced: prefer the emptiest OSTs.
-        order = np.argsort(fills)
+        order = np.argsort(np.array(fills))
         return tuple(self.osts[i].index for i in order[:stripe_count])
 
     def layout_for(
@@ -113,16 +109,32 @@ class OstPool:
 
     def _charge_growth(self, entry: FileEntry, nbytes: int) -> None:
         """Allocate on each stripe's OST the bytes ``entry`` gains when it
-        grows by ``nbytes``."""
-        if entry.layout is None:
+        grows by ``nbytes``.
+
+        An OST holds one object per file with bytes on it: the first
+        bytes a stripe gains create that object."""
+        layout = entry.layout
+        if layout is None:
             raise ValueError(f"{entry.path} has no layout")
         old = entry.size
-        new_shares = entry.layout.ost_share(old + nbytes)
-        old_shares = entry.layout.ost_share(old)
+        if len(layout.osts) == 1:
+            if nbytes > 0:
+                self._ost_by_index[layout.osts[0]].allocate(
+                    nbytes, new_object=old == 0)
+            return
+        new_shares = layout.ost_share(old + nbytes)
+        old_shares = layout.ost_share(old)
         for ost_index, total in new_shares.items():
-            delta = total - old_shares.get(ost_index, 0)
-            if delta > 0:
-                self._ost_by_index[ost_index].allocate(delta)
+            held = old_shares.get(ost_index, 0)
+            if total > held:
+                self._ost_by_index[ost_index].allocate(
+                    total - held, new_object=held == 0)
+
+    def _release(self, entry: FileEntry) -> None:
+        """Give back the capacity and the objects of a removed file."""
+        for ost_index, share in entry.layout.ost_share(entry.size).items():
+            if share > 0:
+                self._ost_by_index[ost_index].release(share)
 
 
 class LustreFilesystem(OstPool):
@@ -189,8 +201,7 @@ class LustreFilesystem(OstPool):
     def unlink(self, path: str) -> FileEntry:
         entry = self.namespace.get(path)
         if not entry.is_dir and entry.layout is not None:
-            for ost_index, share in entry.layout.ost_share(entry.size).items():
-                self._ost_by_index[ost_index].release(share)
+            self._release(entry)
         self.mds.service_time(OpMix(unlinks=1))
         return self.namespace.unlink(path)
 

@@ -51,16 +51,17 @@ class StripeLayout:
         """Bytes landing on each OST for a file of ``size`` bytes."""
         if size < 0:
             raise ValueError("size must be non-negative")
-        shares: dict[int, int] = {ost: 0 for ost in self.osts}
-        full_rounds, rem = divmod(size, self.stripe_size * self.stripe_count)
-        for ost in self.osts:
-            shares[ost] += full_rounds * self.stripe_size
-        i = 0
-        while rem > 0:
-            take = min(rem, self.stripe_size)
-            shares[self.osts[i % self.stripe_count]] += take
-            rem -= take
-            i += 1
+        osts = self.osts
+        if len(osts) == 1:
+            return {osts[0]: size}
+        stripe = self.stripe_size
+        full_rounds, rem = divmod(size, stripe * len(osts))
+        base = full_rounds * stripe
+        # rem < stripe * stripe_count, so chunk i of the remainder lands
+        # on osts[i]; a repeated OST accumulates every stripe it holds.
+        shares = dict.fromkeys(osts, 0)
+        for i, ost in enumerate(osts):
+            shares[ost] += base + min(stripe, max(0, rem - i * stripe))
         return shares
 
 
@@ -95,10 +96,26 @@ class FileEntry:
 
 
 def _normalize(path: str) -> str:
+    """Canonical absolute form of ``path``.
+
+    A path with no empty, ``.`` or ``..`` component is its own
+    ``normpath`` and returns as is.  ``normpath`` keeps a leading ``//``
+    (POSIX leaves it implementation-defined); Lustre resolves it to the
+    root, and so does this.
+    """
     if not path.startswith("/"):
         raise NamespaceError(f"paths must be absolute: {path!r}")
-    norm = posixpath.normpath(path)
-    return norm
+    if ("//" in path or "/./" in path or "/../" in path
+            or path.endswith(("/", "/.", "/.."))):
+        path = posixpath.normpath(path)
+        if path.startswith("//"):
+            path = path[1:]
+    return path
+
+
+def _parent(path: str) -> str:
+    """``posixpath.dirname`` of a normalized absolute path."""
+    return path[:path.rfind("/")] or "/"
 
 
 class Namespace:
@@ -118,13 +135,18 @@ class Namespace:
 
     # -- lookup ------------------------------------------------------------------
 
+    # Stored keys are normalized and absolute, so a hit on the raw path is
+    # the entry ``_normalize`` would find; only a miss pays for it.
+
     def __contains__(self, path: str) -> bool:
-        return _normalize(path) in self._entries
+        return path in self._entries or _normalize(path) in self._entries
 
     def get(self, path: str) -> FileEntry:
-        entry = self._entries.get(_normalize(path))
+        entry = self._entries.get(path)
         if entry is None:
-            raise NamespaceError(f"no such entry: {path}")
+            entry = self._entries.get(_normalize(path))
+            if entry is None:
+                raise NamespaceError(f"no such entry: {path}")
         return entry
 
     def listdir(self, path: str) -> list[str]:
@@ -141,7 +163,7 @@ class Namespace:
     # -- mutation ----------------------------------------------------------------
 
     def _attach(self, path: str) -> None:
-        parent = posixpath.dirname(path) or "/"
+        parent = _parent(path)
         parent_entry = self._entries.get(parent)
         if parent_entry is None:
             raise NamespaceError(f"missing parent directory: {parent}")
@@ -157,7 +179,7 @@ class Namespace:
             if entry.is_dir:
                 return entry
             raise NamespaceError(f"file exists: {path}")
-        parent = posixpath.dirname(path) or "/"
+        parent = _parent(path)
         if parents and parent not in self._entries:
             self.mkdir(parent, now, owner=owner, project=project, parents=True)
         entry = FileEntry(
@@ -225,7 +247,7 @@ class Namespace:
         if new in self._entries:
             raise NamespaceError(f"file exists: {new}")
         self._attach(new)
-        parent = posixpath.dirname(old) or "/"
+        parent = _parent(old)
         self._children[parent].discard(old)
         del self._entries[old]
         entry.path = new
@@ -245,7 +267,7 @@ class Namespace:
             self.n_dirs -= 1
         else:
             self.n_files -= 1
-        parent = posixpath.dirname(path) or "/"
+        parent = _parent(path)
         self._children[parent].discard(path)
         del self._entries[path]
         return entry

@@ -116,14 +116,17 @@ class Ost:
     def free_bytes(self) -> int:
         return max(0, self.spec.capacity_bytes - self.used_bytes)
 
-    def allocate(self, nbytes: int) -> None:
-        """Account an object extent; allocation past capacity raises."""
+    def allocate(self, nbytes: int, *, new_object: bool = True) -> None:
+        """Account an object extent; allocation past capacity raises.
+
+        ``new_object=False`` grows an object the OST already holds."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         if self.used_bytes + nbytes > self.spec.capacity_bytes:
             raise OSError(f"OST {self.index} out of space (ENOSPC)")
         self.used_bytes += nbytes
-        self.n_objects += 1
+        if new_object:
+            self.n_objects += 1
         self.written_bytes_total += nbytes
         telemetry = get_telemetry()
         if telemetry.enabled:

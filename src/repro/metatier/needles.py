@@ -326,13 +326,20 @@ class SegmentStore:
         rewritten = 0
         bytes_rewritten = 0
         bytes_reclaimed = 0
+        # One scan of the index buckets the live needles of every victim.
+        # Rewrites land in the open segment or a new one, never in a
+        # (sealed) victim, so the buckets stay exact through the pass.
+        buckets: dict[int, list[Needle]] = {s.index: [] for s in victims}
+        if victims:
+            for needle in self.index.values():
+                bucket = buckets.get(needle.segment_index)
+                if bucket is not None:
+                    bucket.append(needle)
         for segment in victims:
             # Live needles of this segment, in offset order (deterministic
             # regardless of index insertion history).
-            movers = sorted(
-                (n for n in self.index.values()
-                 if n.segment_index == segment.index),
-                key=lambda n: n.offset)
+            movers = sorted(buckets.pop(segment.index),
+                            key=lambda n: n.offset)
             for needle in movers:
                 del self.index[needle.key]
                 moved = self.write(needle.key, needle.length, now)

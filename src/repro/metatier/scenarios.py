@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.lustre.filesystem import LustreFilesystem
 from repro.lustre.mds import OpMix
 from repro.metatier.directory import HaystackDirectory, NeedleCache
@@ -58,6 +60,10 @@ __all__ = [
 ]
 
 
+#: sizes drawn per vectorized ``lognormal`` call
+_SIZE_BLOCK = 1_024
+
+
 class TinyFileSizes:
     """Seeded lognormal tiny-file sizes (source files, thumbnails, logs).
 
@@ -75,11 +81,19 @@ class TinyFileSizes:
         self._sigma = sigma
         self._floor = floor
         self._ceiling = ceiling
+        #: drawn sizes not yet served, next one last
+        self._block: list[int] = []
 
     def draw(self) -> int:
-        """One file size in bytes, clipped to [floor, ceiling]."""
-        raw = int(self._rng.lognormal(self._mu, self._sigma))
-        return max(self._floor, min(self._ceiling, raw))
+        """One file size in bytes, clipped to [floor, ceiling].
+
+        Sizes come from blocks of vectorized draws: the Generator yields
+        the same stream as one scalar ``lognormal`` call per size."""
+        if not self._block:
+            raw = self._rng.lognormal(self._mu, self._sigma, _SIZE_BLOCK)
+            sizes = np.clip(raw, self._floor, self._ceiling).astype(np.int64)
+            self._block = sizes[::-1].tolist()
+        return self._block.pop()
 
 
 class _Tier:

@@ -77,14 +77,21 @@ class ShardedNamespace:
         self.cross_shard_renames = 0
         #: hard-link dentries: link path → target path
         self.link_targets: dict[str, str] = {}
+        #: parent directory → owning shard; grows with the directories,
+        #: as the replicated skeleton does
+        self._parent_shard: dict[str, int] = {}
 
     @property
     def n_shards(self) -> int:
         return len(self.shards)
 
     def shard_of(self, path: str) -> int:
-        """Shard index owning ``path``."""
-        return shard_key(path, self.n_shards)
+        """Shard index owning ``path`` (memoized per parent directory)."""
+        parent = path.rsplit("/", 1)[0]
+        shard = self._parent_shard.get(parent)
+        if shard is None:
+            shard = self._parent_shard[parent] = shard_key(path, self.n_shards)
+        return shard
 
     # -- structural operations --------------------------------------------
 
@@ -319,8 +326,7 @@ class ShardedFilesystem(OstPool):
         holds_capacity = (not entry.is_dir and entry.layout is not None
                           and path not in self.namespace.link_targets)
         if holds_capacity:
-            for ost_index, share in entry.layout.ost_share(entry.size).items():
-                self._ost_by_index[ost_index].release(share)
+            self._release(entry)
         return self.namespace.unlink(path)
 
     def rename(self, old: str, new: str, now: float) -> FileEntry:

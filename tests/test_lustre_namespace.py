@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.lustre.filesystem import LustreFilesystem
 from repro.lustre.namespace import Namespace, NamespaceError, StripeLayout
-from repro.units import MiB
+from repro.lustre.ost import Ost, OstSpec
+from repro.units import MiB, TB
 
 
 class TestStripeLayout:
@@ -56,6 +58,20 @@ class TestNamespace:
         ns = Namespace()
         ns.mkdir("/a/b/c", parents=True)
         assert "/a/b" in ns
+
+    def test_leading_double_slash_is_the_root(self):
+        # posixpath.normpath keeps a leading "//"; the namespace must not.
+        ns = Namespace()
+        assert ns.mkdir("//", parents=True) is ns.get("/")
+        ns.mkdir("//a/b", parents=True)
+        assert "//a" in ns and "/a/b" in ns
+        assert ns.get("//a/b") is ns.get("/a/b")
+        assert ns.listdir("/") == ["/a"]
+
+    def test_filesystem_mkdir_with_leading_double_slash(self):
+        fs = LustreFilesystem("t", [Ost(0, OstSpec(capacity_bytes=TB))])
+        fs.mkdir("//a/b", 0.0)
+        assert fs.namespace.listdir("/a") == ["/a/b"]
 
     def test_create_without_parent_fails(self):
         ns = Namespace()

@@ -1,5 +1,7 @@
 """Tests for repro.metatier: needles, shards, warm tier, paired study."""
 
+import math
+
 import pytest
 
 from repro.lustre.mds import OpMix
@@ -30,6 +32,7 @@ from repro.metatier.needles import NEEDLE_HEADER_BYTES
 from repro.lustre.filesystem import LustreFilesystem
 from repro.obs.instruments import Telemetry, use_telemetry
 from repro.sim.engine import Engine
+from repro.sim.rng import RngStreams
 from repro.units import GB, KiB, MiB, TB
 
 
@@ -353,6 +356,42 @@ class TestShardedNamespace:
         assert empty.balance() == 1.0
 
 
+@pytest.mark.parametrize("make", [make_fs, make_sharded],
+                         ids=["single-mds", "sharded"])
+class TestOstObjectCount:
+    """An OST holds one object per file with bytes on it."""
+
+    def test_appends_grow_the_one_object(self, make):
+        fs = make()
+        fs.mkdir("/d", 0.0)
+        fs.create_file("/d/a", 0.0, size=1 * MiB)
+        ost = fs.ost(fs.namespace.get("/d/a").layout.osts[0])
+        fs.append("/d/a", 1 * MiB, 1.0)
+        fs.append("/d/a", 1 * MiB, 2.0)
+        assert ost.n_objects == 1
+        fs.unlink("/d/a")
+        assert (ost.n_objects, ost.used_bytes) == (0, 0)
+
+    def test_empty_file_unlink_leaves_other_objects(self, make):
+        fs = make(n_osts=1)
+        fs.mkdir("/d", 0.0)
+        fs.create_file("/d/full", 0.0, size=4 * KiB)
+        fs.create_file("/d/empty", 0.0)
+        fs.unlink("/d/empty")
+        assert fs.osts[0].n_objects == 1
+
+    def test_wide_stripe_counts_each_touched_ost_once(self, make):
+        fs = make()
+        fs.mkdir("/d", 0.0)
+        fs.create_file("/d/w", 0.0, stripe_count=4, size=1 * MiB)
+        fs.append("/d/w", 2 * MiB, 1.0)   # reaches the 2nd and 3rd stripe
+        fs.append("/d/w", 1 * MiB, 2.0)   # the 4th
+        fs.append("/d/w", 4 * MiB, 3.0)   # a second full round
+        assert [o.n_objects for o in fs.osts] == [1, 1, 1, 1]
+        fs.unlink("/d/w")
+        assert [o.n_objects for o in fs.osts] == [0, 0, 0, 0]
+
+
 class TestShardedFilesystem:
     def test_capacity_accounting_matches_per_file(self):
         fs = make_sharded()
@@ -515,6 +554,43 @@ class TestScenariosAndStudy:
         draws = [a.draw() for _ in range(500)]
         assert draws == [b.draw() for _ in range(500)]
         assert all(256 <= d <= 512 * KiB for d in draws)
+
+    def test_tiny_file_sizes_equal_the_scalar_draws(self):
+        # the block draw must serve the stream one scalar call per size gave
+        sizes = TinyFileSizes(seed=2014)
+        rng = RngStreams(2014).get("metatier.sizes")
+        mu = math.log(32 * KiB)
+        for _ in range(3_000):
+            expected = max(256, min(512 * KiB, int(rng.lognormal(mu, 1.0))))
+            assert sizes.draw() == expected
+
+    def test_compaction_scans_the_index_linearly(self, monkeypatch):
+        """Index entries ``compact`` visits grow with the files, not with
+        files × victim segments: 4n files cost at most 4.5× the visits."""
+        visits = [0]
+
+        class CountingIndex(dict):
+            def values(self):
+                for needle in super().values():
+                    visits[0] += 1
+                    yield needle
+
+        init = SegmentStore.__init__
+
+        def counting_init(store, *args, **kwargs):
+            init(store, *args, **kwargs)
+            store.index = CountingIndex()
+
+        monkeypatch.setattr(SegmentStore, "__init__", counting_init)
+
+        def index_visits(n_files):
+            visits[0] = 0
+            run_meta_study(MetaStudySpec(n_files=n_files, seed=2014))
+            return visits[0]
+
+        at_n = index_visits(20_000)
+        assert at_n > 0
+        assert index_visits(80_000) <= 4.5 * at_n
 
     def test_study_counts_needle_writes(self):
         telemetry = Telemetry(enabled=True)

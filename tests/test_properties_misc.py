@@ -1,5 +1,8 @@
 """Property-based tests: units round-trips, stripe conservation, purge
-safety, RAID capacity arithmetic."""
+safety, RAID capacity arithmetic, and the namespace fast paths against
+the loops they replaced."""
+
+import posixpath
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hardware.raid import RaidGeometry
 from repro.lustre.filesystem import LustreFilesystem
-from repro.lustre.namespace import Namespace, StripeLayout
+from repro.lustre.namespace import Namespace, StripeLayout, _normalize
 from repro.lustre.ost import Ost, OstSpec, fill_penalty
 from repro.tools.purger import Purger
 from repro.units import DAY, KiB, MiB, TB, fmt_size, parse_size
@@ -44,6 +47,56 @@ class TestStripeProperties:
         # balance: shares differ by at most one stripe
         values = list(shares.values())
         assert max(values) - min(values) <= layout.stripe_size
+
+
+def _loop_ost_share(layout, size):
+    """The stripe-by-stripe walk the closed-form ``ost_share`` replaced,
+    kept as the reference its result must equal exactly."""
+    shares = {ost: 0 for ost in layout.osts}
+    full_rounds, rem = divmod(size, layout.stripe_size * layout.stripe_count)
+    for ost in layout.osts:
+        shares[ost] += full_rounds * layout.stripe_size
+    i = 0
+    while rem > 0:
+        take = min(rem, layout.stripe_size)
+        shares[layout.osts[i % layout.stripe_count]] += take
+        rem -= take
+        i += 1
+    return shares
+
+
+@st.composite
+def _layout_and_size(draw):
+    osts = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=6)))
+    layout = StripeLayout(osts=osts, stripe_size=draw(st.integers(1, 5)))
+    period = layout.stripe_size * layout.stripe_count
+    # sizes around multiples of a full round, where the remainder wraps
+    size = draw(st.one_of(
+        st.just(0),
+        st.integers(0, 5 * period),
+        st.builds(lambda k, d: max(0, k * period + d),
+                  st.integers(0, 4), st.integers(-2, 2))))
+    return layout, size
+
+
+class TestFastPathOracles:
+    @given(_layout_and_size())
+    @settings(max_examples=400)
+    def test_ost_share_equals_the_stripe_walk(self, case):
+        layout, size = case
+        assert (list(layout.ost_share(size).items())
+                == list(_loop_ost_share(layout, size).items()))
+
+    @given(st.lists(st.sampled_from(["", ".", "..", ".hidden", "a"]),
+                    max_size=6),
+           st.booleans())
+    @settings(max_examples=400)
+    def test_normalize_equals_normpath(self, segments, trailing):
+        path = "/" + "/".join(segments) + ("/" if trailing else "")
+        expected = posixpath.normpath(path)
+        if expected.startswith("//"):  # the root, however it is spelled
+            expected = expected[1:]
+        assert _normalize(path) == expected
 
 
 class TestFillPenaltyProperties:

@@ -11,12 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from tests.conftest import (
-    assert_same_seed_equal,
-    assert_seed_sensitive,
-    assert_telemetry_invariant,
-    mini_spec,
-)
+from tests.conftest import mini_spec
 from repro.core.spider import SpiderSystem
 from repro.network.storm import (
     StormStudyResult,
@@ -85,14 +80,8 @@ class TestStormHeadline:
 
 
 class TestDeterminism:
-    def test_same_seed_results_compare_equal(self):
-        assert_same_seed_equal(lambda seed: quick_study(seed=seed), 11)
-
-    def test_different_seed_differs(self):
-        assert_seed_sensitive(lambda seed: quick_study(seed=seed), 11)
-
-    def test_bit_identical_with_telemetry_on_or_off(self):
-        assert_telemetry_invariant(lambda seed: quick_study(seed=seed), 11)
+    # Same-seed equality, seed sensitivity and telemetry invariance run
+    # in tests/test_reproducibility.py (``storm_study``).
 
     def test_result_is_a_plain_value(self):
         study = quick_study()
