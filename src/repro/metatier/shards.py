@@ -17,7 +17,9 @@ shard and the dentry's shard.
 Determinism guarantee: shard assignment is ``crc32`` of the parent
 directory (stable across runs and machines), and every listing or sweep
 is sorted — so results are independent of ingest order.  The test suite
-pins this ("ingest-order independence").
+pins this ("ingest-order independence").  Every path is normalized once
+where it enters :class:`ShardedNamespace`, so ``/d//f`` and ``/d/./f``
+route to the shard that owns ``/d``, as ``/d/f`` does.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from repro.lustre.namespace import (
     Namespace,
     NamespaceError,
     StripeLayout,
+    _normalize,
+    _parent,
 )
 from repro.lustre.ost import Ost
 from repro.units import MiB
@@ -49,8 +53,12 @@ def shard_key(path: str, n_shards: int) -> int:
     stay on one MDT.  crc32 (not ``hash``) keeps the mapping stable
     across processes and Python hash seeds.
     """
-    parent = path.rsplit("/", 1)[0] or "/"
-    return zlib.crc32(parent.encode("utf-8")) % n_shards
+    return _dir_shard(_parent(_normalize(path)), n_shards)
+
+
+def _dir_shard(directory: str, n_shards: int) -> int:
+    """Shard owning the entries of a normalized ``directory``."""
+    return zlib.crc32(directory.encode("utf-8")) % n_shards
 
 
 class ShardedNamespace:
@@ -86,12 +94,19 @@ class ShardedNamespace:
         return len(self.shards)
 
     def shard_of(self, path: str) -> int:
-        """Shard index owning ``path`` (memoized per parent directory)."""
-        parent = path.rsplit("/", 1)[0]
+        """Shard index owning ``path``."""
+        return self._owner(path)[1]
+
+    def _owner(self, path: str) -> tuple[str, int]:
+        """``path`` normalized, and the shard owning it (memoized per
+        parent directory)."""
+        path = _normalize(path)
+        parent = _parent(path)
         shard = self._parent_shard.get(parent)
         if shard is None:
-            shard = self._parent_shard[parent] = shard_key(path, self.n_shards)
-        return shard
+            shard = self._parent_shard[parent] = _dir_shard(
+                parent, self.n_shards)
+        return path, shard
 
     # -- structural operations --------------------------------------------
 
@@ -99,15 +114,15 @@ class ShardedNamespace:
         """Create a directory: the skeleton replicates to every shard;
         the op cost lands on the owning shard only."""
         kwargs.setdefault("parents", True)
+        path, owner = self._owner(path)
         entries = [ns.mkdir(path, now, **kwargs) for ns in self.shards]
-        owner = self.shard_of(path)
         self.servers[owner].service_time(OpMix(mkdirs=1))
         return entries[owner]
 
     def create(self, path: str, layout: StripeLayout, now: float = 0.0,
                **kwargs) -> FileEntry:
         """Create a file on its owning shard (one MDS create there)."""
-        shard = self.shard_of(path)
+        path, shard = self._owner(path)
         entry = self.shards[shard].create(path, layout, now, **kwargs)
         self.servers[shard].service_time(OpMix(creates=1))
         return entry
@@ -118,7 +133,7 @@ class ShardedNamespace:
         A directory's files live on one shard, so emptiness is checked on
         every shard before any shard's skeleton changes.
         """
-        shard = self.shard_of(path)
+        path, shard = self._owner(path)
         entry = self.shards[shard].get(path)
         if entry.is_dir:
             if any(ns.listdir(path) for ns in self.shards):
@@ -139,8 +154,8 @@ class ShardedNamespace:
         to both participating MDTs.  A hard-link dentry keeps its link
         record under the new path.
         """
-        src = self.shard_of(old)
-        dst = self.shard_of(new)
+        old, src = self._owner(old)
+        new, dst = self._owner(new)
         if src == dst:
             moved = self.shards[src].rename(old, new, now)
             self.servers[src].service_time(OpMix(renames=1))
@@ -168,8 +183,8 @@ class ShardedNamespace:
         inode's nlink update charges the target's home shard when the
         two differ.
         """
-        home = self.shard_of(target)
-        dst = self.shard_of(new)
+        target, home = self._owner(target)
+        new, dst = self._owner(new)
         entry = self.shards[home].get(target)
         if entry.is_dir:
             raise NamespaceError(f"cannot hard-link a directory: {target}")
@@ -188,17 +203,19 @@ class ShardedNamespace:
     # -- lookup ------------------------------------------------------------
 
     def __contains__(self, path: str) -> bool:
-        return path in self.shards[self.shard_of(path)]
+        path, shard = self._owner(path)
+        return path in self.shards[shard]
 
     def get(self, path: str) -> FileEntry:
         """Resolve one entry on its owning shard (no MDS charge — pair
-        with :meth:`charge_stat` for a billed stat)."""
-        return self.shards[self.shard_of(path)].get(path)
+        with :meth:`stat` for a billed stat)."""
+        path, shard = self._owner(path)
+        return self.shards[shard].get(path)
 
     def stat(self, path: str) -> FileEntry:
         """A billed stat: resolve + charge the owning shard, with the
         per-stripe OST RPC amplification of the entry's layout."""
-        shard = self.shard_of(path)
+        path, shard = self._owner(path)
         entry = self.shards[shard].get(path)
         stripes = entry.layout.stripe_count if entry.layout else 0
         self.servers[shard].service_time(
@@ -209,7 +226,8 @@ class ShardedNamespace:
         """Children of a directory — a single-shard readdir (subtree
         partitioning colocates a directory's files; subdirectories are
         replicated, so the owning shard of the children sees both)."""
-        child_shard = shard_key(f"{path.rstrip('/')}/x", self.n_shards)
+        path = _normalize(path)
+        child_shard = _dir_shard(path, self.n_shards)
         names = self.shards[child_shard].listdir(path)
         self.servers[child_shard].service_time(
             OpMix(readdir_entries=len(names)))
@@ -217,11 +235,13 @@ class ShardedNamespace:
 
     def read(self, path: str, now: float) -> FileEntry:
         """Bump atime on the owning shard."""
-        return self.shards[self.shard_of(path)].read(path, now)
+        path, shard = self._owner(path)
+        return self.shards[shard].read(path, now)
 
     def write(self, path: str, nbytes: int, now: float) -> FileEntry:
         """Append bytes on the owning shard."""
-        return self.shards[self.shard_of(path)].write(path, nbytes, now)
+        path, shard = self._owner(path)
+        return self.shards[shard].write(path, nbytes, now)
 
     # -- aggregate views ---------------------------------------------------
 
@@ -322,6 +342,7 @@ class ShardedFilesystem(OstPool):
     def unlink(self, path: str) -> FileEntry:
         """Remove a file, releasing OST capacity (hard-link dentries hold
         no capacity of their own)."""
+        path = _normalize(path)
         entry = self.namespace.get(path)
         holds_capacity = (not entry.is_dir and entry.layout is not None
                           and path not in self.namespace.link_targets)

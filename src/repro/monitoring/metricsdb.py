@@ -8,23 +8,13 @@ administrators."
 Series are keyed by (metric name, source); points append in time order.
 The query surface covers what the reporting tools need: ranges, latest
 values, rates from counters, and simple aggregation across sources.
-
-Long-lived pollers (the monitoring overlay ticks every series for days of
-simulated time) need the store bounded: construct with ``max_points`` to
-cap every series.  When a series exceeds the cap, points older than the
-protected tail are *compacted* — only window boundaries (first and last
-point of each ``compaction_window``) and counter-reset neighbours
-survive — and, if still over, the oldest points fall off ring-buffer
-style.  Compaction preserves :meth:`MetricsDb.rate` exactly over any
-range whose endpoints are window boundaries, because rates depend only on
-the range's first/last points and the resets between them, all of which
-compaction keeps.
+Every point is kept; there is no retention cap.  The monitoring overlay
+does not write here: its rollups stay in its own collector.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,61 +48,11 @@ class _Series:
         self.times.append(time)
         self.values.append(value)
 
-    def compact(self, max_points: int, window: float | None) -> None:
-        """Shrink to at most ``max_points`` points.
-
-        The newest ``max_points // 2`` points are protected verbatim (the
-        operator's recent view stays dense).  Older points survive only if
-        they are a ``window`` boundary (last point of one window or first
-        of the next), a counter-reset neighbour (either side of a negative
-        delta), or the head/tail of the compacted region.  If the series
-        is still over the cap afterwards, the oldest points drop.
-        """
-        n = len(self.times)
-        if n <= max_points:
-            return
-        tail_start = n - max(1, max_points // 2)
-        if window is not None and tail_start > 2:
-            keep = {0, tail_start - 1}
-            for i in range(1, tail_start):
-                if self.values[i] < self.values[i - 1]:  # counter reset
-                    keep.add(i - 1)
-                    keep.add(i)
-                if math.floor(self.times[i] / window) \
-                        != math.floor(self.times[i - 1] / window):
-                    keep.add(i - 1)  # last point of the old window
-                    keep.add(i)      # first point of the new window
-            kept = sorted(keep)
-            self.times = [self.times[i] for i in kept] \
-                + self.times[tail_start:]
-            self.values = [self.values[i] for i in kept] \
-                + self.values[tail_start:]
-        excess = len(self.times) - max_points
-        if excess > 0:
-            del self.times[:excess]
-            del self.values[:excess]
-
 
 class MetricsDb:
-    """The store: insert points, query ranges, compute counter rates.
+    """The store: insert points, query ranges, compute counter rates."""
 
-    Args:
-        max_points: optional per-series retention cap; exceeding it
-            triggers compaction (see :meth:`_Series.compact`).  ``None``
-            keeps everything — the pre-overlay behaviour.
-        compaction_window: downsampling granularity in seconds for the
-            compacted (old) region; ``None`` skips the boundary-preserving
-            pass and caps ring-buffer style only.
-    """
-
-    def __init__(self, *, max_points: int | None = None,
-                 compaction_window: float | None = None) -> None:
-        if max_points is not None and max_points < 4:
-            raise ValueError("max_points must be at least 4")
-        if compaction_window is not None and compaction_window <= 0:
-            raise ValueError("compaction_window must be positive")
-        self.max_points = max_points
-        self.compaction_window = compaction_window
+    def __init__(self) -> None:
         self._series: dict[tuple[str, str], _Series] = {}
 
     def insert(self, metric: str, source: str, time: float, value: float) -> None:
@@ -121,8 +61,6 @@ class MetricsDb:
         if series is None:
             series = self._series[key] = _Series()
         series.append(time, float(value))
-        if self.max_points is not None and len(series.times) > self.max_points:
-            series.compact(self.max_points, self.compaction_window)
 
     def sources(self, metric: str) -> list[str]:
         return sorted(s for m, s in self._series if m == metric)

@@ -5,10 +5,11 @@ ground-truth probes on a seeded cadence; an
 :class:`~repro.obs.overlay.tree.AggregationTree` spanning the SION
 leaf/core fabric carries the batches to a root
 :class:`~repro.obs.overlay.collector.CollectorSink` with per-hop
-latency, bounded fan-in, and seeded loss; the collector streams windowed
-rollups into a :class:`~repro.monitoring.metricsdb.MetricsDb`, feeds an
-:class:`~repro.obs.overlay.alerts.AlertEngine`, and backs the
-non-omniscient :class:`~repro.obs.overlay.observed.ObservedDetector`.
+latency, bounded fan-in, and seeded loss; the collector folds them into
+windowed rollups and a per-source view, which feed an
+:class:`~repro.obs.overlay.alerts.AlertEngine`; the tree and cadence
+back the non-omniscient
+:class:`~repro.obs.overlay.observed.ObservedDetector`.
 The A16 study that compares that detector with the analytic one lives
 with the A15 study in :mod:`repro.resilience.study`.
 
@@ -35,7 +36,6 @@ from repro.obs.overlay.scraper import (
     Sample,
     Scraper,
     probes_for_system,
-    scheduler_probes,
 )
 from repro.obs.overlay.tree import AggregationTree
 
@@ -59,5 +59,4 @@ __all__ = [
     "default_rules",
     "probes_for_system",
     "resolver_for_system",
-    "scheduler_probes",
 ]

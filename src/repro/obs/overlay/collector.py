@@ -4,8 +4,8 @@ Batches arriving from the aggregation tree buffer until the window
 closes; each close folds the buffered rows into one :class:`Rollup`
 per canonical (``mon.``-prefixed) metric — sample counts, staleness
 counts, and the mean/max/p99 of the freshest per-source values, plus a
-rate for counter probes — and streams them into a
-:class:`~repro.monitoring.metricsdb.MetricsDb` and a sweep span on the
+rate for counter probes — kept in :attr:`CollectorSink.rollups` for the
+alert engine and the run's outcome, and recorded as a sweep span on the
 :class:`~repro.obs.trace.Tracer`.
 
 Two invariants the test suite enforces:
@@ -38,7 +38,7 @@ import numpy as np
 from repro.obs.instruments import get_telemetry
 from repro.obs.trace import get_tracer
 
-from repro.obs.overlay.scraper import PROBE_PREFIX, Batch, Sample
+from repro.obs.overlay.scraper import PROBE_PREFIX, Batch
 
 __all__ = ["Rollup", "CollectorSink"]
 
@@ -84,8 +84,6 @@ class CollectorSink:
             the operator surface must say so).
         counter_metrics: canonical metric names whose probes are
             monotone counters; these get a ``rate`` in their rollups.
-        db: optional :class:`~repro.monitoring.metricsdb.MetricsDb`
-            receiving ``overlay.*`` points at every window close.
     """
 
     def __init__(
@@ -94,7 +92,6 @@ class CollectorSink:
         rollup_interval: float,
         staleness_limit: float,
         counter_metrics: frozenset[str] = frozenset(),
-        db=None,
     ) -> None:
         if rollup_interval <= 0:
             raise ValueError("rollup_interval must be positive")
@@ -103,7 +100,6 @@ class CollectorSink:
         self.rollup_interval = float(rollup_interval)
         self.staleness_limit = float(staleness_limit)
         self.counter_metrics = frozenset(counter_metrics)
-        self.db = db
         self.rollups: list[Rollup] = []
         self.n_windows = 0
         self.n_samples = 0
@@ -135,15 +131,12 @@ class CollectorSink:
 
     # -- ingest ---------------------------------------------------------------
 
-    def deliver(self, batches: tuple[Batch, ...] | tuple[Sample, ...],
-                now: float) -> None:
+    def deliver(self, batches: tuple[Batch, ...], now: float) -> None:
         """Batches arrived at the root at sim time ``now``; buffer them
-        until the window closes.  Bare :class:`Sample` rows are accepted
-        too (one one-row batch each).  ``now`` is unused beyond the
-        contract that batches for a window arrive before its close."""
+        until the window closes.  ``now`` is unused beyond the contract
+        that batches for a window arrive before its close."""
         del now
-        self._buffer.extend(
-            Batch.of(b) if isinstance(b, Sample) else b for b in batches)
+        self._buffer.extend(batches)
 
     def _codes_of(self, keys: tuple[tuple[str, str], ...]) -> np.ndarray:
         """The code array of one batch key tuple, registering new keys."""
@@ -228,22 +221,6 @@ class CollectorSink:
         self.rollups.extend(new_rollups)
         self._latest = new_rollups
         self.n_windows += 1
-
-        if self.db is not None:
-            for r in new_rollups:
-                self.db.insert(f"overlay.{r.metric}.mean", "overlay",
-                               now, r.mean)
-                self.db.insert(f"overlay.{r.metric}.max", "overlay",
-                               now, r.max)
-                self.db.insert(f"overlay.{r.metric}.p99", "overlay",
-                               now, r.p99)
-                if r.metric in self.counter_metrics:
-                    self.db.insert(f"overlay.{r.metric}.rate", "overlay",
-                                   now, r.rate)
-            self.db.insert("overlay.window.samples", "overlay", now,
-                           float(sum(r.n_samples for r in new_rollups)))
-            self.db.insert("overlay.window.stale", "overlay", now,
-                           float(sum(r.n_stale for r in new_rollups)))
 
         self._publish_view_gauges(now)
         tracer = get_tracer()

@@ -4,8 +4,8 @@ One frozen dataclass holds every knob of the MELT-style pipeline
 (arXiv:1504.06836): how often per-node agents scrape their probes, how
 the aggregation tree is shaped (bounded fan-in inserts relay hops), what
 one tree hop costs in propagation latency, how often a sample batch is
-lost on the way up, how wide the root collector's rollup windows are, and
-when a delivered sample counts as stale.  The config is pure data — the
+lost on the way up, and how wide the root collector's rollup windows
+are.  The config is pure data — the
 runtime (:mod:`repro.obs.overlay.runtime`) turns it into engine
 processes, and the observed detector
 (:mod:`repro.obs.overlay.observed`) turns it into an MTTD formula — so
@@ -15,7 +15,7 @@ a paired study can sweep cadence and fan-in without touching code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = ["OverlayConfig"]
 
@@ -31,6 +31,10 @@ DEFAULT_FAN_IN = 8
 DEFAULT_LOSS_PROBABILITY = 0.02
 #: default root rollup window (seconds)
 DEFAULT_ROLLUP_INTERVAL = 60.0
+#: the tightened arm of the MTTD study scrapes this many times as often
+#: and packs this many times the children per tree node
+TIGHT_CADENCE_FACTOR = 3.0
+TIGHT_FAN_IN_FACTOR = 2
 #: cap on consecutive lost batches the observed detector will model, so
 #: a pathological loss probability cannot stall detection unboundedly
 #: (mirrors ``resilience.detector.MAX_MISSED_SWEEPS``)
@@ -48,9 +52,8 @@ class OverlayConfig:
     ``hop_latency`` is the per-hop propagation cost, so an agent at depth
     ``d`` delivers ``d * hop_latency`` seconds after sampling.
     ``loss_probability`` is the chance one batch never reaches the root.
-    ``staleness_limit`` tags samples older than this at window close
-    (``None``: twice the scrape interval).  ``seed`` feeds the overlay's
-    named RNG substreams (batch loss, detector loss retries).
+    ``seed`` feeds the overlay's named RNG substreams (batch loss,
+    detector loss retries).
     """
 
     scrape_interval: float = DEFAULT_SCRAPE_INTERVAL
@@ -58,7 +61,6 @@ class OverlayConfig:
     fan_in: int = DEFAULT_FAN_IN
     loss_probability: float = DEFAULT_LOSS_PROBABILITY
     rollup_interval: float = DEFAULT_ROLLUP_INTERVAL
-    staleness_limit: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -76,38 +78,12 @@ class OverlayConfig:
         if not (math.isfinite(self.rollup_interval)
                 and self.rollup_interval > 0):
             raise ValueError("rollup_interval must be positive and finite")
-        if self.staleness_limit is not None and not (
-                math.isfinite(self.staleness_limit)
-                and self.staleness_limit > 0):
-            raise ValueError("staleness_limit must be positive and finite")
 
-    @property
-    def effective_staleness_limit(self) -> float:
-        """The staleness cutoff actually applied (seconds): the explicit
-        ``staleness_limit`` or twice the scrape interval."""
-        if self.staleness_limit is not None:
-            return self.staleness_limit
-        return 2.0 * self.scrape_interval
-
-    def tightened(self, *, cadence_factor: float = 3.0,
-                  fan_in_factor: int = 2) -> "OverlayConfig":
-        """A derived config with a faster cadence and wider fan-in — the
-        "tightened" arm of the MTTD study.
-
-        Args:
-            cadence_factor: divide the scrape interval by this (> 1).
-            fan_in_factor: multiply the fan-in by this (>= 1).
-        """
-        if cadence_factor <= 1:
-            raise ValueError("cadence_factor must be > 1")
-        if fan_in_factor < 1:
-            raise ValueError("fan_in_factor must be >= 1")
-        return OverlayConfig(
-            scrape_interval=self.scrape_interval / cadence_factor,
-            hop_latency=self.hop_latency,
-            fan_in=self.fan_in * fan_in_factor,
-            loss_probability=self.loss_probability,
-            rollup_interval=self.rollup_interval,
-            staleness_limit=self.staleness_limit,
-            seed=self.seed,
-        )
+    def tightened(self) -> "OverlayConfig":
+        """The "tightened" arm of the MTTD study: the scrape interval
+        divided by :data:`TIGHT_CADENCE_FACTOR` and the fan-in multiplied
+        by :data:`TIGHT_FAN_IN_FACTOR`, everything else kept."""
+        return replace(
+            self,
+            scrape_interval=self.scrape_interval / TIGHT_CADENCE_FACTOR,
+            fan_in=self.fan_in * TIGHT_FAN_IN_FACTOR)

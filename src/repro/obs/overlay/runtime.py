@@ -15,6 +15,10 @@ built Spider system and attaches it to a DES engine:
 * a periodic collector process closes rollup windows and feeds the
   :class:`~repro.obs.overlay.alerts.AlertEngine` the overlay view.
 
+The run's outputs are the collector's rollups and view, the alert
+engine's alerts and, with telemetry enabled, the mirrored
+``overlay.view.*`` gauges.
+
 The loss draw happens on every tick and the delivery event is scheduled
 even for an empty payload, so the overlay's event and RNG schedule is
 bit-identical with telemetry enabled or disabled — only the mirrored
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.monitoring.metricsdb import MetricsDb
 from repro.obs.instruments import get_telemetry
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
@@ -40,19 +43,10 @@ from repro.obs.overlay.alerts import Alert, AlertEngine, default_rules
 from repro.obs.overlay.collector import CollectorSink, Rollup
 from repro.obs.overlay.config import OverlayConfig
 from repro.obs.overlay.observed import ObservedDetector, resolver_for_system
-from repro.obs.overlay.scraper import (
-    Scraper,
-    probes_for_system,
-    scheduler_probes,
-)
+from repro.obs.overlay.scraper import Scraper, probes_for_system
 from repro.obs.overlay.tree import AggregationTree
 
 __all__ = ["MonitoringOverlay", "OverlayOutcome"]
-
-#: default per-series retention cap of the overlay's own MetricsDb
-DEFAULT_MAX_POINTS = 4096
-#: compacted-region granularity, in rollup windows
-COMPACTION_WINDOWS = 10
 
 
 @dataclass(frozen=True)
@@ -99,16 +93,9 @@ class MonitoringOverlay:
     Args:
         system: a built :class:`~repro.core.spider.SpiderSystem`.
         config: the overlay knobs (default :class:`OverlayConfig`).
-        scheduler: optional facility scheduler whose per-class ingest
-            caps ride along as ``mon.sched_ingest_cap`` probes.
         extra_probes: optional additional probes or probe groups for the
             ``aux`` agent (e.g. the per-link ``mon.link_util`` group from
-            :func:`~repro.obs.overlay.scraper.routing_probes`), appended
-            after any scheduler probes.
-        db: optional :class:`~repro.monitoring.metricsdb.MetricsDb` sink;
-            by default the overlay owns a retention-capped one
-            (:data:`DEFAULT_MAX_POINTS` points, compaction at
-            :data:`COMPACTION_WINDOWS` rollup windows).
+            :func:`~repro.obs.overlay.scraper.routing_probes`).
     """
 
     def __init__(
@@ -116,17 +103,12 @@ class MonitoringOverlay:
         system,
         config: OverlayConfig | None = None,
         *,
-        scheduler=None,
         extra_probes=None,
-        db: MetricsDb | None = None,
     ) -> None:
         self.system = system
         self.config = config if config is not None else OverlayConfig()
-        extra = scheduler_probes(scheduler) if scheduler is not None else []
-        if extra_probes:
-            extra = extra + list(extra_probes)
         self.scrapers: list[Scraper] = probes_for_system(
-            system, extra_probes=extra or None)
+            system, extra_probes=extra_probes)
         self.tree = AggregationTree(
             [(s.name, s.leaf) for s in self.scrapers],
             n_leaves=system.spec.fabric.n_leaf_switches,
@@ -134,18 +116,11 @@ class MonitoringOverlay:
             fan_in=self.config.fan_in)
         counter_metrics = frozenset(
             p.metric for s in self.scrapers for p in s.probes if p.counter)
-        if db is not None:
-            self.db = db
-        else:
-            self.db = MetricsDb(
-                max_points=DEFAULT_MAX_POINTS,
-                compaction_window=COMPACTION_WINDOWS
-                * self.config.rollup_interval)
+        # Stale means at least one sweep missed.
         self.collector = CollectorSink(
             rollup_interval=self.config.rollup_interval,
-            staleness_limit=self.config.effective_staleness_limit,
-            counter_metrics=counter_metrics,
-            db=self.db)
+            staleness_limit=2.0 * self.config.scrape_interval,
+            counter_metrics=counter_metrics)
         thresholds, burn_rates = default_rules()
         self.alert_engine = AlertEngine(thresholds, burn_rates)
         streams = RngStreams(self.config.seed).spawn("obs.overlay")

@@ -46,7 +46,6 @@ __all__ = [
     "Sample",
     "Scraper",
     "probes_for_system",
-    "scheduler_probes",
     "routing_probes",
 ]
 
@@ -130,12 +129,6 @@ class Batch:
         self.keys = keys
         self.values = values
         self.sampled_at = sampled_at
-
-    @classmethod
-    def of(cls, sample: Sample) -> "Batch":
-        """A one-row batch holding ``sample``."""
-        return cls(((sample.metric, sample.source),),
-                   np.array([sample.value], dtype=float), sample.sampled_at)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -286,15 +279,16 @@ def _mds_scrapers(system) -> list[Scraper]:
     return scrapers
 
 
-def probes_for_system(system, *, extra_probes: list[Probe] | None = None,
+def probes_for_system(system, *,
+                      extra_probes: list[Probe | ProbeGroup] | None = None,
                       ) -> list[Scraper]:
     """The standard agent inventory for a built Spider system.
 
     Args:
         system: a :class:`~repro.core.spider.SpiderSystem`.
-        extra_probes: optional additional probes (e.g. the scheduler-class
-            surface from :func:`scheduler_probes`), attached to a
-            dedicated ``aux`` agent on leaf 0.
+        extra_probes: optional additional probes or probe groups (e.g.
+            the per-link group from :func:`routing_probes`), attached to
+            a dedicated ``aux`` agent on leaf 0.
 
     Returns:
         One :class:`Scraper` per SSU, per router module, and per MDS,
@@ -308,25 +302,6 @@ def probes_for_system(system, *, extra_probes: list[Probe] | None = None,
         scrapers.append(Scraper("aux", 0, list(extra_probes)))
     scrapers.sort(key=lambda s: s.name)
     return scrapers
-
-
-def scheduler_probes(scheduler) -> list[Probe]:
-    """Scheduler-class probes: live per-class ingest caps as gauges.
-
-    ``scheduler`` is duck-typed on
-    :meth:`repro.sched.scheduler.FacilityScheduler.ingest_capacities`;
-    each platform class becomes one ``mon.sched_ingest_cap`` gauge
-    (bytes/s) so the overlay's view of scheduler capacity degrades with
-    router faults exactly as the arbiter's does.
-    """
-    probes = []
-    for cls_value, _cap in scheduler.ingest_capacities():
-        def _read(sched=scheduler, cls=cls_value) -> float:
-            caps = dict(sched.ingest_capacities())
-            return float(caps[cls])
-
-        probes.append(Probe("mon.sched_ingest_cap", cls_value, _read))
-    return probes
 
 
 def routing_probes(builder, components) -> ProbeGroup:

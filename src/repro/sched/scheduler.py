@@ -305,22 +305,6 @@ class FacilityScheduler:
         }
         self._backbone_dirty = False
 
-    def ingest_capacities(self) -> list[tuple[str, float]]:
-        """Live per-class ingest caps as sorted ``(class value, bytes/s)``
-        pairs — the probe surface the monitoring overlay's scheduler
-        agent samples.  Recomputes lazily after a fault or repair, like
-        the arbiter itself; an unbounded cap (a router-less system's
-        simulation class) reports as 0.0 rather than infinity so the
-        values stay plottable."""
-        if self._backbone_dirty:
-            self._refresh_capacity()
-        return [
-            (cls.value,
-             0.0 if math.isinf(cap) else float(cap))
-            for cls, cap in sorted(
-                self._ingest_caps.items(), key=lambda kv: kv[0].value)
-        ]
-
     # -- job lifecycle -------------------------------------------------------
 
     def _submit(self, job: _Job) -> None:

@@ -316,6 +316,21 @@ class TestShardedNamespace:
         assert link.size == 0  # dentry only; capacity stays with target
         assert sns.link_targets[f"{other_dir}/l"] == f"{home_dir}/t"
 
+    def test_non_normal_spellings_route_to_the_parent_shard(self):
+        sns = ShardedNamespace("t", n_shards=4)
+        from repro.lustre.namespace import StripeLayout
+        layout = StripeLayout(osts=(0,))
+        sns.mkdir("/d", 0.0)
+        owner = shard_key("/d/x", 4)
+        assert [shard_key(p, 4) for p in ("/d//f", "/d/./g", "/d/f/")] \
+            == [owner] * 3
+        sns.create("/d//f", layout, 0.0)
+        sns.create("/d/./g", layout, 0.0)
+        assert sns.shard_of("/d//f") == sns.shard_of("/d/g") == owner
+        assert "/d/f" in sns and "/d/g" in sns
+        assert sns.listdir("/d") == sns.listdir("/d/.") == ["/d/f", "/d/g"]
+        assert sns.shards[owner].n_files == sns.n_files == 2
+
     def test_failed_rmdir_leaves_every_shard_unchanged(self):
         sns = ShardedNamespace("t", n_shards=4)
         from repro.lustre.namespace import StripeLayout
@@ -413,6 +428,16 @@ class TestShardedFilesystem:
         assert fs.used_bytes == used
         fs.unlink("/d/a")
         assert fs.used_bytes == 0
+
+    def test_unlinking_a_link_dentry_by_another_spelling_keeps_capacity(self):
+        fs = make_sharded(n_shards=4)
+        fs.mkdir("/d", 0.0)
+        fs.create_file("/d/a", 0.0, size=4 * MiB)
+        fs.namespace.link("/d/./a", "/d//l", 1.0)
+        assert fs.namespace.link_targets == {"/d/l": "/d/a"}
+        fs.unlink("/d/./l")
+        assert fs.used_bytes == 4 * MiB
+        assert fs.namespace.link_targets == {}
 
     def test_renamed_link_dentry_keeps_its_link_record(self):
         fs = make_sharded(n_shards=4)

@@ -55,63 +55,6 @@ class TestMetricsDb:
             MetricsDb().latest("m", "s")
 
 
-class TestMetricsDbRetention:
-    def test_series_length_stays_bounded(self):
-        db = MetricsDb(max_points=16, compaction_window=10.0)
-        for t in range(500):
-            db.insert("m", "s", float(t), float(t))
-        assert len(db.range("m", "s")) <= 16
-        assert db.latest("m", "s") == db.range("m", "s")[-1]
-        assert db.latest("m", "s").time == 499.0
-
-    def test_recent_tail_stays_dense(self):
-        db = MetricsDb(max_points=16, compaction_window=10.0)
-        for t in range(100):
-            db.insert("m", "s", float(t), float(t))
-        # The newest max_points // 2 inserts survive verbatim.
-        tail = db.range("m", "s", 92.0, 99.0)
-        assert [p.time for p in tail] == [float(t) for t in range(92, 100)]
-
-    def test_rate_preserved_under_compaction(self):
-        compacted = MetricsDb(max_points=200, compaction_window=10.0)
-        full = MetricsDb()
-        for t in range(300):
-            for db in (compacted, full):
-                db.insert("bytes", "c", float(t), 7.0 * t)
-        assert len(compacted.range("bytes", "c")) < 300  # it did compact
-        # Any window whose endpoints are compaction-window boundaries
-        # yields the exact same counter rate as the unbounded store.
-        for t0, t1 in [(10.0, 50.0), (0.0, 100.0), (20.0, 290.0)]:
-            assert compacted.rate("bytes", "c", t0, t1) \
-                == pytest.approx(full.rate("bytes", "c", t0, t1))
-        assert compacted.rate("bytes", "c") == pytest.approx(7.0)
-
-    def test_counter_reset_neighbours_survive(self):
-        db = MetricsDb(max_points=16, compaction_window=1000.0)
-        values = [float(t) if t < 40 else float(t - 40) for t in range(200)]
-        for t, v in enumerate(values):
-            db.insert("bytes", "c", float(t), v)
-        points = db.range("bytes", "c")
-        # Without the reset pair (39, 40) the rate would span the reset
-        # and come out wrong; with it, rate restarts at the reset.
-        assert any(points[i].value < points[i - 1].value
-                   for i in range(1, len(points)))
-        assert db.rate("bytes", "c") == pytest.approx(1.0)
-
-    def test_compaction_keeps_order_checks(self):
-        db = MetricsDb(max_points=8, compaction_window=2.0)
-        for t in range(50):
-            db.insert("m", "s", float(t), float(t))
-        with pytest.raises(ValueError):
-            db.insert("m", "s", 0.0, 1.0)
-
-    def test_construction_validation(self):
-        with pytest.raises(ValueError):
-            MetricsDb(max_points=2)
-        with pytest.raises(ValueError):
-            MetricsDb(compaction_window=0.0)
-
-
 class TestCheckScheduler:
     def test_alert_after_confirmations(self):
         engine = Engine()

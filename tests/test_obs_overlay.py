@@ -29,7 +29,6 @@ from repro.obs.overlay import (
     Scraper,
     ThresholdRule,
     probes_for_system,
-    scheduler_probes,
 )
 from repro.obs.report import render_layer_report
 from repro.resilience.detector import DetectionModel
@@ -37,11 +36,7 @@ from repro.resilience import RemediationPolicy, run_mttd_study
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from repro.units import HOUR
-from tests.conftest import (
-    assert_same_seed_equal,
-    assert_telemetry_invariant,
-    fresh_system,
-)
+from tests.conftest import fresh_system
 
 
 class TestOverlayConfig:
@@ -54,23 +49,22 @@ class TestOverlayConfig:
             OverlayConfig(loss_probability=1.0)
         with pytest.raises(ValueError):
             OverlayConfig(hop_latency=-1.0)
-        with pytest.raises(ValueError):
-            OverlayConfig(staleness_limit=0.0)
 
     def test_staleness_default_is_two_sweeps(self):
-        assert OverlayConfig(scrape_interval=20.0) \
-            .effective_staleness_limit == pytest.approx(40.0)
-        assert OverlayConfig(staleness_limit=7.0) \
-            .effective_staleness_limit == pytest.approx(7.0)
+        overlay = MonitoringOverlay(fresh_system(),
+                                    OverlayConfig(scrape_interval=20.0))
+        assert overlay.collector.staleness_limit == pytest.approx(40.0)
 
     def test_tightened_scales_cadence_and_fan_in(self):
-        base = OverlayConfig(scrape_interval=30.0, fan_in=8, seed=3)
-        tight = base.tightened(cadence_factor=3.0, fan_in_factor=2)
+        base = OverlayConfig(scrape_interval=30.0, fan_in=8,
+                             loss_probability=0.05, seed=3)
+        tight = base.tightened()
         assert tight.scrape_interval == pytest.approx(10.0)
         assert tight.fan_in == 16
-        assert tight.seed == base.seed
-        with pytest.raises(ValueError):
-            base.tightened(cadence_factor=1.0)
+        assert (tight.seed, tight.loss_probability, tight.hop_latency,
+                tight.rollup_interval) \
+            == (base.seed, base.loss_probability, base.hop_latency,
+                base.rollup_interval)
 
 
 class TestAggregationTree:
@@ -194,7 +188,8 @@ class TestScraper:
 
 
 def _batch(metric, source, value, at):
-    return (Sample(metric, source, value, at),)
+    """A one-batch delivery holding one row."""
+    return (Batch(((metric, source),), np.array([value]), at),)
 
 
 class TestCollectorSink:
@@ -383,12 +378,16 @@ class TestCollectorFoldOracle:
         for w, specs in enumerate(windows):
             now = 60.0 * (w + 1)
             batches = []
-            for agent, age, values, as_samples in specs:
+            for agent, age, values, split in specs:
                 keys = _AGENT_KEYS[agent]
                 batch = Batch(keys, np.array(values[:len(keys)]), now - age)
                 oracle.deliver(tuple(batch))
-                # Sample rows and columnar batches both reach deliver.
-                batches.append(tuple(batch) if as_samples else (batch,))
+                # A split sweep arrives as one-row batches with fresh key
+                # tuples, so the collector's code cache misses on each.
+                batches.append(
+                    tuple(Batch((key,), np.array([value]), now - age)
+                          for key, value in zip(keys, values))
+                    if split else (batch,))
             for payload in data.draw(st.permutations(batches)):
                 sink.deliver(payload, now)
             assert sink.close_window(now) == oracle.close_window(now)
@@ -477,11 +476,6 @@ class TestMonitoringOverlay:
         overlay.attach(Engine())
         with pytest.raises(RuntimeError):
             overlay.attach(Engine())
-
-    def test_overlay_metricsdb_is_retention_capped(self):
-        overlay = MonitoringOverlay(fresh_system())
-        assert overlay.db.max_points is not None
-        assert overlay.db.compaction_window is not None
 
     def test_alerts_fire_from_the_overlay_view(self):
         system = fresh_system()
@@ -592,12 +586,6 @@ class TestCampaignIntegration:
         assert result.overlay.n_windows > 0
         assert any(a.rule == "cable-down" for a in result.overlay.alerts)
 
-    def test_same_seed_campaigns_compare_equal(self):
-        assert_same_seed_equal(run_cable_with_overlay, 11)
-
-    def test_campaign_bit_identical_with_telemetry_on_or_off(self):
-        assert_telemetry_invariant(run_cable_with_overlay, 11)
-
     def test_observed_mttd_matches_pipeline_physics(self):
         # With loss ruled out, each fault's detect latency must equal the
         # closed form: grid wait + tree hops + debounce.
@@ -637,30 +625,6 @@ class TestMttdStudy:
         assert result.observed.overlay.tree_depth \
             > result.tight.overlay.tree_depth \
             or observed_interval > tight_interval
-
-
-class TestSchedulerProbes:
-    def test_ingest_capacities_surface(self, mini_system):
-        from repro.sched import FacilityScheduler, JobSpec, Phase
-        from repro.sched.jobs import PlatformClass
-
-        job = JobSpec("j0", PlatformClass.SIMULATION, 0.0,
-                      (Phase.compute(1.0),))
-        scheduler = FacilityScheduler(mini_system, [job], seed=1)
-        caps = scheduler.ingest_capacities()
-        assert [cls for cls, _ in caps] == sorted(cls for cls, _ in caps)
-        assert all(cap >= 0.0 for _, cap in caps)
-        probes = scheduler_probes(scheduler)
-        values = {p.source: p.read() for p in probes}
-        assert values == dict(caps)
-        # Dropping a router shrinks the simulation-class cap in the
-        # overlay's view exactly as in the arbiter's.
-        before = values["simulation"]
-        router = mini_system.routers[0].name
-        mini_system.lnet.set_router_online(router, False)
-        scheduler._backbone_dirty = True
-        after = {p.source: p.read() for p in probes}["simulation"]
-        assert after < before
 
 
 class TestReportMonitoringLag:

@@ -294,6 +294,29 @@ class TestScheduler:
         assert faulted.makespan > clean.makespan
         assert faulted.outcomes[0].slowdown > clean.outcomes[0].slowdown
 
+    def test_router_loss_under_load_lowers_the_simulation_ingest_cap(self):
+        # Mini system: 24 routers x 2.8 GB/s against a 19.2 GB/s backbone,
+        # so the live-router ingest cap binds once 18 routers are down.
+        def run(n_down: int):
+            system = fresh_system(build_clients=False)
+            bw = backbone_of(system)
+            job = io_job("victim", demand=bw, seconds=60.0)
+            plan = FaultPlan(tuple(
+                PlannedFault(time=0.0, fault=FaultClass.ROUTER_FAIL,
+                             target=router.name)
+                for router in system.routers[:n_down]))
+            result = FacilityScheduler(system, [job], fault_plan=plan,
+                                       policy=QosPolicy.disabled()).run()
+            live = len(system.routers) - n_down
+            return result, bw / (live * system.spec.router_bw_cap)
+
+        (clean, _), (faulted, expected) = run(0), run(18)
+        assert faulted.n_fault_events == 18
+        assert expected > 1.0
+        assert clean.outcomes[0].slowdown == pytest.approx(1.0, rel=1e-3)
+        assert faulted.outcomes[0].slowdown \
+            == pytest.approx(expected, rel=1e-3)
+
     def test_rejects_bad_inputs(self):
         system = fresh_system(build_clients=False)
         with pytest.raises(ValueError):
