@@ -31,7 +31,8 @@ def _evaluate(system, slack, n_clients=1008):
         oss = system.oss_of_ost(ns_osts[i % len(ns_osts)])
         router = policy.select_router(client.coord, oss.leaf)
         hops.append(system.torus.distance(client.coord, router.coord))
-    load = policy._load[policy._load > 0]
+    load = np.array(policy._load)
+    load = load[load > 0]
     imbalance = float(load.max() / load.mean()) if len(load) else 0.0
 
     builder = PathBuilder(system, policy=FineGrainedRouting(system.lnet,

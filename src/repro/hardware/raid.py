@@ -35,7 +35,8 @@ from repro.obs.instruments import get_telemetry
 from repro.obs.trace import get_tracer
 from repro.units import MB
 
-__all__ = ["RaidGeometry", "RaidState", "RaidGroup", "group_bandwidths"]
+__all__ = ["RaidGeometry", "RaidState", "UncleanTally", "RaidGroup",
+           "group_bandwidths"]
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,21 @@ class JournalState:
         return lost
 
 
+class UncleanTally:
+    """How many of a set of RAID groups are not CLEAN.
+
+    The groups that share a tally keep it themselves on every state
+    change, so an owner (an :class:`~repro.hardware.ssu.Ssu`) reads one
+    integer instead of walking its groups.  It holds no reference back
+    to the owner, so the owner and its groups form no reference cycle.
+    """
+
+    __slots__ = ("count",)
+
+    def __init__(self) -> None:
+        self.count = 0
+
+
 class RaidGroup:
     """One RAID-6 array over specific members of a :class:`DiskPopulation`."""
 
@@ -115,6 +131,7 @@ class RaidGroup:
         *,
         name: str = "raid",
         declustered: bool = False,
+        tally: UncleanTally | None = None,
     ) -> None:
         members = list(int(m) for m in members)
         if len(members) != geometry.width:
@@ -137,6 +154,8 @@ class RaidGroup:
         self.data_lost = False
         #: open rebuild trace spans keyed by member position
         self._rebuild_spans: dict[int, object] = {}
+        #: counts this group while it is not CLEAN (see :meth:`_recount`)
+        self.tally = tally
 
     # -- state ---------------------------------------------------------------
 
@@ -153,6 +172,18 @@ class RaidGroup:
         return RaidState.CLEAN
 
     @property
+    def clean(self) -> bool:
+        """``state is RaidState.CLEAN``, without building the state."""
+        return not (self.data_lost or self.erased or self.rebuilding)
+
+    def _recount(self, was_clean: bool) -> None:
+        """Move this group in or out of its tally after a state change;
+        every writer of ``erased``, ``rebuilding`` or ``data_lost`` calls
+        this."""
+        if self.tally is not None and self.clean != was_clean:
+            self.tally.count += 1 if was_clean else -1
+
+    @property
     def effective_erasures(self) -> int:
         """Erased plus still-rebuilding members — both lack redundancy."""
         return len(self.erased | self.rebuilding)
@@ -165,10 +196,12 @@ class RaidGroup:
         """
         if not 0 <= position < self.geometry.width:
             raise IndexError(position)
+        was_clean = self.clean
         self.erased.add(position)
         if self.effective_erasures > self.geometry.fault_tolerance and not self.data_lost:
             self.data_lost = True
             self.journal.lose()
+        self._recount(was_clean)
 
     def restore_member(self, position: int, *, rebuilt: bool = False) -> None:
         """A member comes back (shelf back online, or disk replaced).
@@ -176,6 +209,7 @@ class RaidGroup:
         Unless ``rebuilt`` is true the member re-enters in rebuilding state:
         its contents must be reconstructed before it provides redundancy.
         """
+        was_clean = self.clean
         self.erased.discard(position)
         if not rebuilt and not self.data_lost:
             self.rebuilding.add(position)
@@ -188,9 +222,12 @@ class RaidGroup:
             telemetry = get_telemetry()
             if telemetry.enabled:
                 telemetry.counter("raid.rebuilds_started", self.name).add(1.0)
+        self._recount(was_clean)
 
     def finish_rebuild(self, position: int) -> None:
+        was_clean = self.clean
         self.rebuilding.discard(position)
+        self._recount(was_clean)
         handle = self._rebuild_spans.pop(position, None)
         if handle is not None:
             get_tracer().end(handle)

@@ -23,7 +23,13 @@ import numpy as np
 from repro.hardware.controller import ControllerCouplet, ControllerSpec
 from repro.hardware.disk import DiskPopulation, DiskSpec
 from repro.hardware.enclosure import EnclosureGroup
-from repro.hardware.raid import RaidGeometry, RaidGroup, RaidState, group_bandwidths
+from repro.hardware.raid import (
+    RaidGeometry,
+    RaidGroup,
+    RaidState,
+    UncleanTally,
+    group_bandwidths,
+)
 
 __all__ = ["SsuSpec", "Ssu"]
 
@@ -101,6 +107,7 @@ class Ssu:
         self.couplet = ControllerCouplet(
             spec.controller, n_groups=spec.n_groups, name=f"{self.name}.couplet"
         )
+        self._unclean = UncleanTally()
         self.groups = [
             RaidGroup(
                 spec.raid,
@@ -108,6 +115,7 @@ class Ssu:
                 self.enclosures.group_members[g],
                 name=f"{self.name}.ost{g:02d}",
                 declustered=True,
+                tally=self._unclean,
             )
             for g in range(spec.n_groups)
         ]
@@ -121,12 +129,20 @@ class Ssu:
     def disk_indices(self) -> np.ndarray:
         return np.arange(self.first_disk, self.first_disk + self.spec.n_disks)
 
+    @property
+    def n_unclean(self) -> int:
+        """RAID groups whose state is not CLEAN, kept by the groups' own
+        state changes (one integer read, not a walk)."""
+        return self._unclean.count
+
     # -- performance ----------------------------------------------------------
 
     def group_state_factors(self) -> np.ndarray:
         """Per-group redundancy-state multiplier: 1 clean, 0.6 while
         degraded/rebuilding (reconstruction competes with host I/O), 0 for
         a failed group (it moves nothing)."""
+        if not self.n_unclean:
+            return np.ones(self.spec.n_groups)
         return np.array([
             0.0 if g.state is RaidState.FAILED
             else (0.6 if g.state in (RaidState.DEGRADED, RaidState.REBUILDING)
@@ -144,6 +160,8 @@ class Ssu:
         an all-clean SSU this reduces exactly to the vectorized law.
         """
         per_member = disk_bw[self.members_matrix]
+        if not self.n_unclean:
+            return self.spec.raid.n_data * per_member.min(axis=1)
         erased_any = False
         for g, group in enumerate(self.groups):
             if group.erased:
@@ -154,8 +172,6 @@ class Ssu:
         if erased_any:
             # A fully-erased (failed) group would leave inf×0; force to 0.
             return np.where(state > 0.0, raw * state, 0.0)
-        if (state == 1.0).all():
-            return raw
         return raw * state
 
     def group_streaming_bandwidths(self, *, fs_level: bool = False) -> np.ndarray:

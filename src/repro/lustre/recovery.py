@@ -20,17 +20,18 @@ transactions.  Two regimes:
 High-performance journaling (the same funding line) shortens the replay
 phase once clients are back.
 
-The simulation runs client reconnects on the event engine and reports the
-I/O-blackout window — the number operators actually feel.
+The simulation draws every client's reconnect time and reports the
+I/O-blackout window — the number operators actually feel.  Reconnects
+are independent, so the window is closed-form: every live client
+reconnected by the recovery timer (a reconnect drawn past it is cut to
+the timer), the last one at ``min(latest reconnect, timer)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-
 from repro.obs.trace import get_tracer
-from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from repro.units import MINUTE
 
@@ -134,7 +135,6 @@ def simulate_recovery(
         raise ValueError("absent_fraction must be in [0, 1)")
     spec = spec or RecoverySpec()
     rng = RngStreams(seed).get("recovery")
-    engine = Engine()
 
     n_absent = int(round(n_clients * absent_fraction))
     n_live = n_clients - n_absent
@@ -149,25 +149,20 @@ def simulate_recovery(
     reconnect_at = discovery + rng.exponential(spec.reconnect_cost,
                                                size=n_live)
 
-    state = {"reconnected": 0, "last": 0.0}
-
-    def _reconnect() -> None:
-        state["reconnected"] += 1
-        state["last"] = engine.now
-
-    for t in reconnect_at:
-        engine.call_at(float(min(t, spec.recovery_window)), _reconnect)
-    engine.run(until=spec.recovery_window)
+    # A reconnect drawn past the timer lands on it, so every live client
+    # counts as reconnected and the last one comes back at the earlier of
+    # the latest draw and the timer.
+    last = (float(min(reconnect_at.max(), spec.recovery_window))
+            if n_live else 0.0)
 
     if n_absent > 0 and not imperative:
         # Stragglers hold the window open until the timer expires.
         window = spec.recovery_window
-    elif n_absent > 0 and imperative:
-        # IR knows who was notified; the window closes once every *live*
-        # client is back (version-based recovery evicts the dead quickly).
-        window = state["last"]
     else:
-        window = state["last"]
+        # The window closes once every *live* client is back (with dead
+        # clients, IR knows who was notified and version-based recovery
+        # evicts them quickly).
+        window = last
 
     replay = open_transactions / spec.replay_rate
     if hp_journaling:
@@ -175,12 +170,12 @@ def simulate_recovery(
 
     tracer = get_tracer()
     if tracer.enabled:
-        # The recovery ran on its own nested engine; re-anchor its spans
+        # Recovery times are relative to the failover; anchor its spans
         # at the caller's current sim time so traces compose.
         t0 = tracer.now()
         tracer.record(
             "recovery:reconnect-window", "recovery", t0, t0 + float(window),
-            imperative=imperative, reconnected=state["reconnected"],
+            imperative=imperative, reconnected=n_live,
             evicted=n_absent)
         tracer.record(
             "recovery:replay", "recovery",
@@ -190,7 +185,7 @@ def simulate_recovery(
     return RecoveryOutcome(
         imperative=imperative,
         n_clients=n_clients,
-        reconnected=state["reconnected"],
+        reconnected=n_live,
         evicted=n_absent,
         window_seconds=float(window),
         replay_seconds=float(replay),

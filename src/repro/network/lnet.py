@@ -76,6 +76,8 @@ class LnetConfig:
         #: routing-table liveness: a router that died (§IV-D) is removed
         #: from every policy's candidate set until marked online again
         self._online = np.ones(len(self.routers), dtype=bool)
+        #: (client, leaf, slack) -> near zone; valid until an online bit flips
+        self._zones: dict[tuple[Coord, int, float], list[tuple[int, str, int]]] = {}
 
     def routers_for_leaf(self, leaf: int) -> list[RouterInfo]:
         return [self.routers[i] for i in self._by_leaf.get(leaf, [])]
@@ -88,7 +90,10 @@ class LnetConfig:
     def set_router_online(self, name: str, online: bool) -> None:
         """Mark one router up/down in the routing tables (the LNET view of
         a router failure; the fabric-side cable is a separate component)."""
-        self._online[self._index_of[name]] = online
+        i = self._index_of[name]
+        if bool(self._online[i]) != online:
+            self._online[i] = online
+            self._zones.clear()
 
     def router_online(self, name: str) -> bool:
         return bool(self._online[self._index_of[name]])
@@ -106,6 +111,32 @@ class LnetConfig:
     def online_indices(self, candidates: list[int]) -> list[int]:
         """Filter a candidate index list down to live routers."""
         return [i for i in candidates if self._online[i]]
+
+    def near_zone(self, client: Coord, leaf: int,
+                  slack: float) -> list[tuple[int, str, int]]:
+        """The client's router *zone* for ``leaf``: every online router
+        of that leaf within ``slack`` torus hops of the nearest one, as
+        ``(distance, name, index)`` sorted ascending.
+
+        Zones are cached per ``(client, leaf, slack)`` and dropped only
+        when a router's online bit actually flips, so a steady-state
+        selection pays no distance computation; the returned list is the
+        cache entry, so callers must not mutate it.  ``slack=math.inf``
+        is the whole online leaf.  Raises :class:`LookupError` when no
+        online router serves ``leaf``.
+        """
+        key = (client, leaf, slack)
+        zone = self._zones.get(key)
+        if zone is None:
+            candidates = self.online_indices(self._by_leaf.get(leaf, []))
+            if not candidates:
+                raise LookupError(f"no router serves leaf {leaf}")
+            dists = self.torus.distances_from(client, self._coords[candidates])
+            cutoff = dists.min() + slack
+            zone = sorted((int(d), self.routers[i].name, i)
+                          for d, i in zip(dists, candidates) if d <= cutoff)
+            self._zones[key] = zone
+        return zone
 
 
 class RoutingPolicy:
@@ -174,27 +205,21 @@ class FineGrainedRouting(RoutingPolicy):
         if slack < 0:
             raise ValueError("slack must be non-negative")
         self.slack = slack
-        self._load = np.zeros(len(config.routers), dtype=np.int64)
+        #: selections so far per router index (the load-spreading key)
+        self._load = [0] * len(config.routers)
 
     def select_router(self, client: Coord, dst_leaf: int) -> RouterInfo:
-        candidates = self.config.online_indices(
-            self.config._by_leaf.get(dst_leaf, []))
-        if not candidates:
-            raise LookupError(f"no router serves leaf {dst_leaf}")
-        coords = self.config._coords[candidates]
-        dists = self.config.torus.distances_from(client, coords)
-        near_mask = dists <= dists.min() + self.slack
-        routers = self.config.routers
-        near = [(int(self._load[candidates[i]]), int(dists[i]),
-                 routers[candidates[i]].name, candidates[i])
-                for i in np.flatnonzero(near_mask)]
-        _load, _dist, _name, pick = min(near)
-        self._load[pick] += 1
-        return routers[pick]
+        load = self._load
+        _load, _dist, _name, pick = min(
+            (load[i], dist, name, i)
+            for dist, name, i in self.config.near_zone(client, dst_leaf,
+                                                       self.slack))
+        load[pick] += 1
+        return self.config.routers[pick]
 
     def reset(self) -> None:
         """Zero the per-router load counts (see :meth:`RoutingPolicy.reset`)."""
-        self._load[:] = 0
+        self._load = [0] * len(self.config.routers)
 
 
 class RoundRobinRouting(RoutingPolicy):

@@ -47,8 +47,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.network.lnet import LnetConfig, RouterInfo, RoutingPolicy
 from repro.network.torus import AXIS_ORDERS, Coord, Torus3D
 from repro.obs.instruments import get_telemetry
@@ -218,24 +216,14 @@ class FlowletRouting(RoutingPolicy):
 
     def _zone(self, client: Coord, dst_leaf: int,
               *, slack: float | None = None) -> list[int]:
-        """Online destination-leaf routers within ``slack`` of the nearest,
-        ordered by (distance, name) — the same explicit-key determinism as
-        FGR's tie-break.  ``slack=math.inf`` lifts the distance cap (the
-        desperation widening of :meth:`_maybe_rehash`)."""
-        candidates = self.config.online_indices(
-            self.config._by_leaf.get(dst_leaf, []))
-        if not candidates:
-            raise LookupError(f"no router serves leaf {dst_leaf}")
-        coords = self.config._coords[candidates]
-        dists = self.config.torus.distances_from(client, coords)
+        """Router indices of the client's zone, ordered by (distance,
+        name) — the cached :meth:`LnetConfig.near_zone` FGR draws from.
+        ``slack=math.inf`` lifts the distance cap (the desperation
+        widening of :meth:`_maybe_rehash`)."""
         if slack is None:
             slack = self.spec.slack
-        near_mask = dists <= dists.min() + slack
-        routers = self.config.routers
-        near = sorted(
-            (int(dists[i]), routers[candidates[i]].name, candidates[i])
-            for i in np.flatnonzero(near_mask))
-        return [idx for _d, _n, idx in near]
+        return [idx for _d, _n, idx in
+                self.config.near_zone(client, dst_leaf, slack)]
 
     def _path_components(self, client: Coord, idx: int, axis: int) -> list[str]:
         """Component names a flowlet crosses to router ``idx`` under

@@ -36,7 +36,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.hardware.raid import RaidState
 from repro.obs.instruments import get_telemetry
 
 __all__ = [
@@ -218,12 +217,11 @@ def _ssu_scraper(system, ssu_index: int) -> Scraper:
         Probe(
             "mon.couplet_bw_frac", ssu.name,
             lambda s=ssu, n=nominal: s.couplet.bw_cap(fs_level=True) / n),
-        # Counted directly (not via group_state_factors) — this runs on
-        # every sweep and must not build a numpy array per read.
+        # The SSU's kept count, not a walk over its groups: this runs on
+        # every sweep.
         Probe(
             "mon.groups_degraded", ssu.name,
-            lambda s=ssu: float(sum(1 for g in s.groups
-                                    if g.state is not RaidState.CLEAN))),
+            lambda s=ssu: float(s.n_unclean)),
     ]
     fabric = system.fabric
     for oss in system.osses:

@@ -81,3 +81,63 @@ class TestSsu:
         five = Ssu(spec, pop, 0)
         five.apply_enclosure_outage(0)
         assert all(len(g.erased) == 2 for g in five.groups)
+
+
+def walked_state_factors(ssu):
+    """The per-group state factors by walking every group's state."""
+    return np.array([
+        0.0 if g.state is RaidState.FAILED
+        else (0.6 if g.state in (RaidState.DEGRADED, RaidState.REBUILDING)
+              else 1.0)
+        for g in ssu.groups
+    ])
+
+
+class TestUncleanCountOracle:
+    """``Ssu.n_unclean`` (and what reads it) against a walk over every
+    group's state after random RAID state changes."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_count_matches_walk(self, ssu, seed):
+        rng = np.random.default_rng(seed)
+        width = ssu.spec.raid.width
+        disk_bw = ssu.population.bandwidths()
+        for _ in range(400):
+            op = rng.integers(5)
+            group = ssu.groups[int(rng.integers(4))]
+            pos = int(rng.integers(width))
+            if op == 0:
+                group.erase_member(pos)
+            elif op == 1:
+                group.restore_member(pos, rebuilt=bool(rng.integers(2)))
+            elif op == 2:
+                group.finish_rebuild(pos)
+            elif op == 3 and rng.random() < 0.1:
+                ssu.apply_enclosure_outage(int(rng.integers(
+                    ssu.spec.n_enclosures)))
+            elif op == 4 and rng.random() < 0.1:
+                ssu.restore_enclosure(int(rng.integers(
+                    ssu.spec.n_enclosures)))
+            assert ssu.n_unclean == sum(
+                g.state is not RaidState.CLEAN for g in ssu.groups)
+            walked = walked_state_factors(ssu)
+            assert (ssu.group_state_factors() == walked).all()
+            per_member = disk_bw[ssu.members_matrix]
+            for g, grp in enumerate(ssu.groups):
+                per_member[g, list(grp.erased)] = np.inf
+            raw = ssu.spec.raid.n_data * per_member.min(axis=1)
+            assert (ssu.group_raw_bandwidths(disk_bw)
+                    == np.where(walked > 0.0, raw * walked, 0.0)).all()
+        assert any(g.data_lost for g in ssu.groups)
+
+    def test_clean_ssu_short_circuit_equals_walk(self, ssu):
+        assert ssu.n_unclean == 0
+        assert (ssu.group_state_factors() == walked_state_factors(ssu)).all()
+        ssu.apply_enclosure_outage(0)
+        ssu.restore_enclosure(0)
+        assert ssu.n_unclean == ssu.n_groups
+        for g in ssu.groups:
+            for pos in list(g.rebuilding):
+                g.finish_rebuild(pos)
+        assert ssu.n_unclean == 0
+        assert (ssu.group_state_factors() == np.ones(ssu.n_groups)).all()

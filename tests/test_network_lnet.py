@@ -1,5 +1,7 @@
 """LNET routing policy tests: FGR vs round robin."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.network.lnet import (
     RouterInfo,
     RoundRobinRouting,
 )
+from repro.network.routing import FlowletRouting, FlowletSpec
 from repro.network.torus import Torus3D, TorusSpec
 
 
@@ -140,3 +143,77 @@ class TestTieBreakOrderInvariance:
         # Pure tie at every step: the name key alternates a-b-a-b...,
         # never whichever happened to be inserted first.
         assert picks == ["ra", "rb"] * 3
+
+
+def uncached_zone(config, client, leaf, slack):
+    """The near zone recomputed from scratch: online routers of ``leaf``
+    within ``slack`` hops of the nearest, as sorted (dist, name, index)."""
+    live = [(config.torus.distance(client, r.coord), r.name, i)
+            for i, r in enumerate(config.routers)
+            if r.leaf == leaf and config.router_online(r.name)]
+    if not live:
+        raise LookupError(leaf)
+    nearest = min(d for d, _n, _i in live)
+    return sorted(z for z in live if z[0] <= nearest + slack)
+
+
+class TestZoneCacheOracle:
+    """The cached zone, the FGR picks and the flowlet zone against an
+    uncached reference over random router flips, including no-op flips
+    to the current value."""
+
+    @pytest.fixture
+    def config(self):
+        rng = np.random.default_rng(5)
+        torus = Torus3D(TorusSpec(dims=(6, 5, 4)))
+        fabric = InfinibandFabric(FabricSpec(n_leaf_switches=3))
+        routers = [RouterInfo(f"r{i:02d}", tuple(int(c) for c in
+                                                 rng.integers(0, (6, 5, 4))),
+                              leaf=i % 3)
+                   for i in range(15)]
+        for r in routers:
+            fabric.attach_host(r.name, r.leaf)
+        return LnetConfig(torus, fabric, routers)
+
+    def test_cached_zone_and_picks_match_uncached_reference(self, config):
+        rng = np.random.default_rng(11)
+        fgr = FineGrainedRouting(config, slack=2)
+        flowlet = FlowletRouting(config, spec=FlowletSpec(slack=2))
+        load = [0] * len(config.routers)
+        clients = [(0, 0, 0), (3, 2, 1), (5, 4, 3), (2, 0, 3)]
+        noop_flips = 0
+        for _ in range(600):
+            if rng.random() < 0.3:
+                router = config.routers[int(rng.integers(len(config.routers)))]
+                online = bool(rng.random() < 0.6)
+                noop_flips += config.router_online(router.name) == online
+                config.set_router_online(router.name, online)
+            client = clients[int(rng.integers(len(clients)))]
+            leaf = int(rng.integers(3))
+            for slack in (0, 2, math.inf):
+                try:
+                    expected = uncached_zone(config, client, leaf, slack)
+                except LookupError:
+                    with pytest.raises(LookupError):
+                        config.near_zone(client, leaf, slack)
+                    continue
+                assert config.near_zone(client, leaf, slack) == expected
+                assert flowlet._zone(client, leaf, slack=slack) == [
+                    i for _d, _n, i in expected]
+            try:
+                zone = uncached_zone(config, client, leaf, 2)
+            except LookupError:
+                with pytest.raises(LookupError):
+                    fgr.select_router(client, leaf)
+                continue
+            _l, _d, _n, want = min((load[i], d, n, i) for d, n, i in zone)
+            load[want] += 1
+            assert fgr.select_router(client, leaf) is config.routers[want]
+        assert noop_flips > 0
+
+    def test_noop_flip_keeps_the_cache(self, config):
+        zone = config.near_zone((0, 0, 0), 0, 4)
+        config.set_router_online(config.routers[0].name, True)
+        assert config.near_zone((0, 0, 0), 0, 4) is zone
+        config.set_router_online(config.routers[0].name, False)
+        assert config.near_zone((0, 0, 0), 0, 4) is not zone
