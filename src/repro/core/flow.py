@@ -9,15 +9,15 @@ at each layer "what bandwidth should survive to here?".  Steady-state
 bandwidth under that world-view is exactly a *bandwidth-sharing* problem:
 every I/O stream (flow) crosses a sequence of components, each component has
 a capacity shared by the flows crossing it, and TCP-like transports plus
-Lustre's request schedulers drive the share toward (weighted) max-min
-fairness.  Packet-level detail would add runtime, not insight, at the scale
-of 18,688 clients.
+Lustre's request schedulers drive the share toward max-min fairness.
+Packet-level detail would add runtime, not insight, at the scale of 18,688
+clients.
 
 Algorithm
 ---------
 Progressive filling (the textbook max-min construction):
 
-1. every unfrozen flow's rate grows uniformly (scaled by its weight);
+1. every unfrozen flow's rate grows uniformly;
 2. the first component to saturate freezes the flows crossing it at their
    current rate (flows with finite *demand* freeze when they reach it);
 3. repeat on the residual network until all flows are frozen.
@@ -56,7 +56,7 @@ Properties (enforced by the property-based tests):
 * demand-boundedness: rate ≤ demand for every flow;
 * max-min/Pareto: every flow is limited by a *saturated* component on its
   path or by its own demand — no rate can be raised without lowering a
-  smaller (weighted) rate;
+  smaller rate;
 * delta/scratch equivalence: any sequence of delta operations followed by a
   solve yields the same rates (within 1e-9 relative) as a from-scratch
   solve of the final network.
@@ -248,24 +248,21 @@ def _csr(
     return indptr, np.array(indices, dtype=np.int64), flow_of_entry
 
 
-def _levels(demand: float, weight: float) -> tuple[float, float]:
-    """Fill levels of a flow with demand above :data:`_EPS`: where it
-    reaches its demand and the eps-slackened level at which it freezes
-    (both infinite for unbounded demand)."""
+def _edge_level(demand: float) -> float:
+    """The eps-slackened fill level at which a flow with demand above
+    :data:`_EPS` freezes (infinite for unbounded demand)."""
     if not math.isfinite(demand):
-        return math.inf, math.inf
-    slack = _EPS * (demand if demand > 1.0 else 1.0)
-    return demand / weight, (demand - slack) / weight
+        return math.inf
+    return demand - _EPS * (demand if demand > 1.0 else 1.0)
 
 
 def _fill_scalar(
     caps: list[float],
     paths: list[tuple[int, ...]],
     demands: list[float],
-    weights: list[float],
-    pre: tuple[list[float], list[float], list[float]] | None = None,
+    order: list[int],
+    pre: tuple[list[float], list[float]] | None = None,
     comp_n: list[int] | None = None,
-    order: list[int] | None = None,
     prefix_ok: bool = False,
 ) -> tuple[list[float], list[int], int]:
     """Progressive filling on plain scalars (small subproblems).
@@ -273,20 +270,20 @@ def _fill_scalar(
     Semantically identical to :func:`_fill_vector` — same freeze
     tolerances, same round structure — with python-loop constants that
     beat numpy call overhead below :data:`_SCALAR_NNZ_MAX` incidences.
-    ``pre`` optionally carries the persistent solver's precomputed
-    ``(comp_w, step_level, edge_level)`` setup — valid only when every
-    flow has a non-empty path and demand above :data:`_EPS`; ``comp_w``
-    is copied before mutation, the level lists are read-only.  ``comp_n``
-    optionally carries per-component member counts; a saturating
-    component crossed by *every* flow (a shared backbone) then freezes
-    all remaining active flows directly, skipping the member walk.
-    ``order`` optionally carries the flow indices sorted ascending by
-    ``demand / weight`` (any order among ties), which turns the
-    per-round demand-fill minimum into one pointer read.  ``prefix_ok``
-    (only meaningful with ``pre``; derived locally otherwise) asserts
-    that every demand exceeds 1.0, making the freeze levels monotone in
-    the sort order so demand freezes form an exact prefix — the
-    per-round freeze walk then stops at its first miss.
+    ``order`` carries the flow indices sorted ascending by demand (any
+    order among ties), which turns the per-round demand-fill minimum
+    into one pointer read.  ``pre`` optionally carries the persistent
+    solver's precomputed ``(comp_act, edge_level)`` setup — valid only
+    when every flow has a non-empty path and demand above :data:`_EPS`;
+    ``comp_act`` is copied before mutation, the level list is read-only.
+    ``comp_n`` optionally carries per-component member counts; a
+    saturating component crossed by *every* flow (a shared backbone)
+    then freezes all remaining active flows directly, skipping the
+    member walk.  ``prefix_ok`` (only meaningful with ``pre``; derived
+    locally otherwise) asserts that every demand exceeds 1.0, making the
+    freeze levels monotone in the sort order so demand freezes form an
+    exact prefix — the per-round freeze walk then stops at its first
+    miss.
     Returns ``(rates, saturation order as local comp ids, rounds)``;
     per-component load is left to the caller (computable from the rates,
     and skipped entirely on un-observed hot-loop solves).
@@ -300,20 +297,18 @@ def _fill_scalar(
     n_active = n
 
     # Every flow starts filling at level 0, so an active flow always sits
-    # at ``rate = weight * level`` where ``level`` is the cumulative fill.
-    # That collapses the per-round work: per-flow demand fills become
-    # precomputed levels, component residuals drain by ``step * comp_w``
-    # (no inner path loop), and rates materialize only at freeze time.
+    # at ``rate = level`` where ``level`` is the cumulative fill.  That
+    # collapses the per-round work: a flow reaches its demand at level
+    # ``demand``, component residuals drain by ``step * comp_act`` (no
+    # inner path loop), and rates materialize only at freeze time.
     if pre is not None:
-        comp_w0, step_level, edge_level = pre
-        comp_w = list(comp_w0)
+        comp_act0, edge_level = pre
+        comp_act = list(comp_act0)
     else:
-        comp_w = [0.0] * m
-        for i, path in enumerate(paths):
-            w = weights[i]
+        comp_act = [0.0] * m  # active members per component
+        for path in paths:
             for c in path:
-                comp_w[c] += w
-        step_level = [inf] * n  # level where the flow reaches its demand
+                comp_act[c] += 1.0
         edge_level = [inf] * n  # eps-slackened level at which it freezes
         prefix_ok = True
         for i in range(n):
@@ -321,9 +316,8 @@ def _fill_scalar(
             if d <= _EPS:
                 frozen[i] = True
                 n_active -= 1
-                w = weights[i]
                 for c in paths[i]:
-                    comp_w[c] -= w
+                    comp_act[c] -= 1.0
             elif not paths[i]:
                 rates[i] = d
                 frozen[i] = True
@@ -331,9 +325,7 @@ def _fill_scalar(
             elif d < inf:
                 if d <= 1.0:
                     prefix_ok = False
-                step_level[i], edge_level[i] = _levels(d, weights[i])
-    if order is None:
-        order = sorted(range(n), key=step_level.__getitem__)
+                edge_level[i] = _edge_level(d)
     sat_order: list[int] = []
     sat_seen = [False] * m
     rounds = 0
@@ -348,16 +340,16 @@ def _fill_scalar(
         # active flow reaches its demand (the head of the sorted order).
         step = inf
         for c in range(m):
-            w = comp_w[c]
-            if w > _EPS:
+            a = comp_act[c]
+            if a > _EPS:
                 r = residual[c]
-                fill = r / w if r > _EPS else 0.0
+                fill = r / a if r > _EPS else 0.0
                 if fill < step:
                     step = fill
         while head < n and frozen[order[head]]:
             head += 1
         if head < n:
-            fill = step_level[order[head]] - level
+            fill = demands[order[head]] - level
             if fill < step:
                 step = fill
         if step == inf:
@@ -371,13 +363,13 @@ def _fill_scalar(
         if step < 0.0:
             step = 0.0
         level += step
-        # Advance: each component drains by the summed weight of its
-        # active members; detect saturation in the same pass.
+        # Advance: each component drains by ``step`` per active member;
+        # detect saturation in the same pass.
         newly_sat = []
         for c in range(m):
-            w = comp_w[c]
-            if w > _EPS:
-                r = residual[c] - step * w
+            a = comp_act[c]
+            if a > _EPS:
+                r = residual[c] - step * a
                 residual[c] = r
                 cap = caps[c]
                 if cap < inf and r <= _EPS + 1e-12 * cap:
@@ -394,11 +386,11 @@ def _fill_scalar(
                     i = order[k]
                     if not frozen[i]:
                         frozen[i] = True
-                        rates[i] = weights[i] * level
+                        rates[i] = level
                 break
         # Snapshot semantics: demand-satisfied flows and the members of
         # newly saturated components freeze together in one walk, judged
-        # against the round-start component weights (``comp_w``
+        # against the round-start member counts (``comp_act``
         # decrements land after saturation was detected, so order inside
         # the batch is free).  With monotone freeze levels
         # (``prefix_ok``) and no saturation to match, the eligible flows
@@ -420,10 +412,9 @@ def _fill_scalar(
             if freeze:
                 frozen[i] = True
                 n_active -= 1
-                w = weights[i]
-                rates[i] = w * level
+                rates[i] = level
                 for c in path:
-                    comp_w[c] -= w
+                    comp_act[c] -= 1.0
             elif prefix_ok and not newly_sat:
                 break
     return rates, sat_order, rounds
@@ -432,7 +423,6 @@ def _fill_scalar(
 def _fill_vector(
     capacity: np.ndarray,
     demand: np.ndarray,
-    weight: np.ndarray,
     indptr: np.ndarray,
     indices: np.ndarray,
     flow_of_entry: np.ndarray,
@@ -475,21 +465,18 @@ def _fill_vector(
             break
         rounds_used += 1
         active_entry = ~frozen[flow_of_entry]
-        # Weighted active flow count per component.
-        comp_weight = np.zeros(n_comp)
-        np.add.at(comp_weight, indices[active_entry],
-                  weight[flow_of_entry[active_entry]])
+        # Active flow count per component.
+        comp_active = np.bincount(indices[active_entry], minlength=n_comp)
         # Fill level at which each component saturates.
         with np.errstate(divide="ignore", invalid="ignore"):
-            comp_fill = np.where(comp_weight > _EPS,
-                                 residual / comp_weight, np.inf)
+            comp_fill = np.where(comp_active > 0,
+                                 residual / comp_active, np.inf)
         comp_fill = np.where(
             residual <= _EPS,
-            np.where(comp_weight > _EPS, 0.0, np.inf), comp_fill)
+            np.where(comp_active > 0, 0.0, np.inf), comp_fill)
         # Fill level at which each active flow reaches its demand.
         active = ~frozen
-        with np.errstate(divide="ignore", invalid="ignore"):
-            demand_fill = np.where(active, (demand - rates) / weight, np.inf)
+        demand_fill = np.where(active, demand - rates, np.inf)
         min_comp_fill = comp_fill.min() if n_comp else math.inf
         min_demand_fill = demand_fill.min() if n_flows else math.inf
         step = min(min_comp_fill, min_demand_fill)
@@ -500,8 +487,8 @@ def _fill_vector(
             break
         step = max(step, 0.0)
 
-        # Advance all active flows by step * weight.
-        delta = step * weight * active
+        # Advance all active flows by step.
+        delta = step * active
         rates += delta
         np.subtract.at(residual, indices[active_entry],
                        delta[flow_of_entry[active_entry]])
@@ -512,7 +499,7 @@ def _fill_vector(
 
         # Freeze flows crossing saturated components (only components
         # with finite capacity can saturate).
-        saturated = finite_cap & (residual <= sat_slack) & (comp_weight > _EPS)
+        saturated = finite_cap & (residual <= sat_slack) & (comp_active > 0)
         if saturated.any():
             new_ids = np.flatnonzero(saturated & ~sat_seen)
             sat_seen[new_ids] = True
@@ -556,37 +543,33 @@ class FlowNetwork:
         self._load = np.empty(16)
         self._comp_flows: list[set[str]] = []
         # flows (dict order == slot order of the parallel buffers).  The
-        # python-list mirrors of demands/weights/paths feed the scalar
-        # kernel without per-solve tolist conversions; the numpy buffers
-        # feed the vector kernel and the result snapshots.
+        # python-list mirrors of demands/paths feed the scalar kernel
+        # without per-solve tolist conversions; the numpy buffers feed
+        # the vector kernel and the result snapshots.
         self._flows: dict[str, _FlowRec] = {}
         self._demands = np.empty(16)
-        self._weights = np.empty(16)
         self._rates = np.empty(16)
         self._demands_list: list[float] = []
-        self._weights_list: list[float] = []
         self._paths_list: list[tuple[int, ...]] = []
         self._nnz = 0
         # precomputed scalar-kernel setup, maintained by the delta
-        # operations: per-component active weight sums and per-flow
-        # demand fill levels (valid whenever ``_n_irregular`` is 0)
-        self._comp_w: list[float] = []
-        self._step_lvl: list[float] = []
+        # operations: per-component counts of regular member flows and
+        # per-flow freeze levels (valid whenever ``_n_irregular`` is 0)
+        self._comp_act: list[float] = []
         self._edge_lvl: list[float] = []
         #: flows the precomputed setup cannot describe (zero demand or
         #: an empty path) — their presence falls back to the generic
         #: kernel setup
         self._n_irregular = 0
         #: finite-demand flows with demand ≤ 1.0 — while zero, demand
-        #: freeze levels are monotone in the demand/weight sort and the
-        #: scalar kernel's freeze walk can stop at its first miss
+        #: freeze levels are monotone in the demand sort and the scalar
+        #: kernel's freeze walk can stop at its first miss
         self._n_small = 0
-        # flow slots sorted ascending by demand/weight (parallel key
-        # list), maintained by the delta operations so entire solves
-        # skip the per-solve argsort; ties order by operation history,
-        # which the filling is insensitive to beyond float round-off
+        # flow slots sorted ascending by demand, maintained by the delta
+        # operations so entire solves skip the per-solve argsort; ties
+        # order by operation history, which the filling is insensitive
+        # to beyond float round-off
         self._order: list[int] = []
-        self._order_keys: list[float] = []
         #: per-component member count (mirrors ``len(_comp_flows[c])``
         #: without per-solve list building)
         self._comp_nf: list[int] = []
@@ -629,7 +612,7 @@ class FlowNetwork:
         self._caps_list.append(float(capacity))
         self._load[i] = 0.0
         self._comp_flows.append(set())
-        self._comp_w.append(0.0)
+        self._comp_act.append(0.0)
         self._comp_nf.append(0)
         self._result_cache = None
 
@@ -662,15 +645,12 @@ class FlowNetwork:
         name: str,
         path: list[str],
         demand: float = math.inf,
-        weight: float = 1.0,
     ) -> None:
         """Add a flow crossing ``path`` (component names, any order/repeats
         collapse to unique membership), wanting at most ``demand`` bytes/s.
         """
         if name in self._flows:
             raise ValueError(f"duplicate flow name {name!r}")
-        if weight <= 0:
-            raise ValueError("weight must be positive")
         if demand < 0:
             raise ValueError("demand must be non-negative")
         comp_id = self._comp_id
@@ -689,38 +669,31 @@ class FlowNetwork:
             )
         i = len(self._flows)
         self._demands = _grown(self._demands, i)
-        self._weights = _grown(self._weights, i)
         self._rates = _grown(self._rates, i)
         demand = float(demand)
-        weight = float(weight)
         self._demands[i] = demand
-        self._weights[i] = weight
         # An empty-path flow is limited only by its demand; flows with
         # components get their rate from the next solve.
         self._rates[i] = demand if not path_ids else 0.0
         path_tuple = tuple(path_ids)
         self._flows[name] = _FlowRec(i, path_tuple)
         self._demands_list.append(demand)
-        self._weights_list.append(weight)
         self._paths_list.append(path_tuple)
         # Precomputed kernel setup (matches _fill_scalar's generic setup
         # arithmetic operation for operation).
         if demand <= _EPS or not path_ids:
             self._n_irregular += 1
-            step = edge = math.inf
+            edge = math.inf
         else:
             if demand <= 1.0:
                 self._n_small += 1
-            step, edge = _levels(demand, weight)
-            comp_w = self._comp_w
+            edge = _edge_level(demand)
+            comp_act = self._comp_act
             for c in path_ids:
-                comp_w[c] += weight
-        self._step_lvl.append(step)
+                comp_act[c] += 1.0
         self._edge_lvl.append(edge)
-        key = demand / weight
-        pos = bisect_right(self._order_keys, key)
-        self._order_keys.insert(pos, key)
-        self._order.insert(pos, i)
+        self._order.insert(bisect_right(
+            self._order, demand, key=self._demands_list.__getitem__), i)
         self._nnz += len(path_ids)
         comp_nf = self._comp_nf
         for c in path_ids:
@@ -730,28 +703,20 @@ class FlowNetwork:
         self._csr = None
         self._result_cache = None
 
-    def has_flow(self, name: str) -> bool:
-        """Whether a flow named ``name`` is present."""
-        return name in self._flows
-
     def remove_flow(self, name: str) -> None:
         """Remove a flow, dirtying the components it crossed."""
         rec = self._flows.pop(name)
         i = rec.idx
         n = len(self._flows)
         demand = self._demands_list[i]
-        weight = self._weights_list[i]
         # Compact the parallel slot buffers and renumber the survivors.
         self._demands[i:n] = self._demands[i + 1:n + 1]
-        self._weights[i:n] = self._weights[i + 1:n + 1]
         self._rates[i:n] = self._rates[i + 1:n + 1]
         for other in self._flows.values():
             if other.idx > i:
                 other.idx -= 1
         del self._demands_list[i]
-        del self._weights_list[i]
         del self._paths_list[i]
-        del self._step_lvl[i]
         del self._edge_lvl[i]
         # Retract the flow's precomputed-setup contribution (symmetric to
         # add_flow's).
@@ -760,13 +725,11 @@ class FlowNetwork:
         else:
             if demand <= 1.0:
                 self._n_small -= 1
-            comp_w = self._comp_w
+            comp_act = self._comp_act
             for c in rec.path:
-                comp_w[c] -= weight
+                comp_act[c] -= 1.0
         order = self._order
-        pos = order.index(i)
-        del order[pos]
-        del self._order_keys[pos]
+        order.remove(i)
         for k, v in enumerate(order):
             if v > i:
                 order[k] = v - 1
@@ -799,45 +762,32 @@ class FlowNetwork:
         self._demands[i] = demand
         self._demands_list[i] = demand
         # Refresh the precomputed kernel setup: the demand may cross the
-        # regular/irregular boundary (changing the flow's ``comp_w``
-        # contribution) and its fill levels change either way.
-        weight = self._weights_list[i]
+        # regular/irregular boundary (changing the flow's ``comp_act``
+        # contribution) and its freeze level changes either way.
         old_regular = old > _EPS and bool(rec.path)
         new_regular = demand > _EPS and bool(rec.path)
         self._n_small += ((new_regular and demand <= 1.0)
                           - (old_regular and old <= 1.0))
         if old_regular != new_regular:
-            comp_w = self._comp_w
+            comp_act = self._comp_act
             if new_regular:
                 self._n_irregular -= 1
                 for c in rec.path:
-                    comp_w[c] += weight
+                    comp_act[c] += 1.0
             else:
                 self._n_irregular += 1
                 for c in rec.path:
-                    comp_w[c] -= weight
-        if new_regular:
-            self._step_lvl[i], self._edge_lvl[i] = _levels(demand, weight)
-        else:
-            self._step_lvl[i] = self._edge_lvl[i] = math.inf
-        # Reposition the flow in the maintained demand/weight sort.
+                    comp_act[c] -= 1.0
+        self._edge_lvl[i] = _edge_level(demand) if new_regular else math.inf
+        # Reposition the flow in the maintained demand sort.
         order = self._order
-        keys = self._order_keys
-        pos = order.index(i)
-        del order[pos]
-        del keys[pos]
-        key = demand / weight
-        pos = bisect_right(keys, key)
-        keys.insert(pos, key)
-        order.insert(pos, i)
+        order.remove(i)
+        order.insert(bisect_right(
+            order, demand, key=self._demands_list.__getitem__), i)
         self._dirty.update(rec.path)
         if not rec.path:
             self._rates[i] = demand
         self._result_cache = None
-
-    def demand_of(self, name: str) -> float:
-        """The offered demand of flow ``name``."""
-        return float(self._demands[self._flows[name].idx])
 
     def component_names(self) -> list[str]:
         """Registered component names, in registration order."""
@@ -847,18 +797,16 @@ class FlowNetwork:
         """Current flow names, in insertion order (minus removals)."""
         return list(self._flows)
 
-    def flow_spec(self, name: str) -> tuple[list[str], float, float]:
-        """The ``(path, demand, weight)`` flow ``name`` was added with.
+    def flow_spec(self, name: str) -> tuple[list[str], float]:
+        """The ``(path, demand)`` flow ``name`` was added with.
 
         The path comes back as component names in the flow's (deduped)
         traversal order — enough to recreate the flow in another network,
         which is how the equivalence tests rebuild scratch references.
         """
         rec = self._flows[name]
-        i = rec.idx
         names = self._comp_names
-        return ([names[c] for c in rec.path],
-                self._demands_list[i], self._weights_list[i])
+        return [names[c] for c in rec.path], self._demands_list[rec.idx]
 
     @property
     def n_flows(self) -> int:
@@ -873,7 +821,7 @@ class FlowNetwork:
     # -- solving ----------------------------------------------------------------
 
     def solve(self) -> FlowResult:
-        """Weighted max-min allocation by (incremental) progressive filling.
+        """Max-min allocation by (incremental) progressive filling.
 
         Dispatches on the solver state: ``full`` when no previous solution
         exists, ``cached`` when nothing changed since the last solve, and
@@ -942,15 +890,14 @@ class FlowNetwork:
             self._load_valid = False
         else:
             rates, load, sat, rounds = _fill_vector(
-                self._caps[comps], self._demands[flows], self._weights[flows],
-                *csr())
+                self._caps[comps], self._demands[flows], *csr())
             self._load[comps] = load
         self._rates[flows] = rates
         return sat, rounds
 
     def _solve_entire(self) -> int:
         """From-scratch fill over every component and flow; returns rounds."""
-        pre = ((self._comp_w, self._step_lvl, self._edge_lvl)
+        pre = ((self._comp_act, self._edge_lvl)
                if self._n_irregular == 0 else None)
         # The vector kernel rewrites every load; the scalar one defers.
         self._load_valid = True
@@ -958,8 +905,7 @@ class FlowNetwork:
             slice(0, len(self._flows)), slice(0, len(self._comp_names)),
             self._nnz,
             (self._caps_list, self._paths_list, self._demands_list,
-             self._weights_list, pre, self._comp_nf, self._order,
-             self._n_small == 0),
+             self._order, pre, self._comp_nf, self._n_small == 0),
             self._csr_incidence)
         names = self._comp_names
         caps = self._caps_list
@@ -1029,12 +975,10 @@ class FlowNetwork:
         idx = np.array(slots, dtype=np.int64)
         comp_idx = np.array(comp_list, dtype=np.int64)
         demands = self._demands[idx]
-        weights = self._weights[idx]
-        order = np.argsort(demands / weights, kind="stable").tolist()
+        order = np.argsort(demands, kind="stable").tolist()
         sat, rounds = self._fill(
             idx, comp_idx, sum(map(len, paths)),
-            (self._caps[comp_idx].tolist(), paths, demands.tolist(),
-             weights.tolist(), None, None, order),
+            (self._caps[comp_idx].tolist(), paths, demands.tolist(), order),
             lambda: _csr(paths))
         names = self._comp_names
         for c in comp_list:
@@ -1149,66 +1093,32 @@ class Epoch:
     Executors that own an incrementally-solved network (the bandwidth
     arbiter, the fault campaign, the remediation runner) route their
     re-solve triggers through :meth:`request` instead of solving inline.
-    With an ``engine``, the flush is scheduled at the current sim time at
-    ``priority`` (default 1 — after every ordinary same-tick event), so a
-    burst of simultaneous changes — a fault cascade, a batch of repairs,
-    several job transitions at one instant — costs one solve.  The flush
-    callback receives the batched labels joined with ``"+"`` (first
-    occurrence order, deduplicated).
-
-    Used as a context manager, requests made inside the ``with`` block are
-    held and flushed on exit (deferred to end-of-tick when an engine is
-    attached, immediately otherwise) — the explicit-batch form for code
-    running off the engine.
+    The first request since the last flush schedules the next one on
+    ``engine`` at the current sim time at priority 1 (after every
+    ordinary same-tick event), so a burst of simultaneous changes — a
+    fault cascade, a batch of repairs, several job transitions at one
+    instant — costs one solve.
+    The flush callback receives the batched labels joined with ``"+"``
+    (first occurrence order, deduplicated).
     """
 
-    def __init__(
-        self,
-        flush: Callable[[str], None],
-        *,
-        engine=None,
-        priority: int = 1,
-    ) -> None:
+    def __init__(self, flush: Callable[[str], None], *, engine) -> None:
         self._flush = flush
         self._engine = engine
-        self._priority = priority
+        #: labels requested since the last flush; non-empty exactly while
+        #: a flush is scheduled
         self._labels: list[str] = []
-        self._armed = False
-        self._held = 0
         #: number of flushes fired (diagnostic; each flush = one solve)
         self.flushes = 0
 
     def request(self, label: str) -> None:
         """Ask for a flush, carrying ``label`` into the batched flush label."""
+        if not self._labels:
+            self._engine.call_at(self._engine.now, self._fire, priority=1)
         self._labels.append(label)
-        if self._held == 0:
-            self._arm()
-
-    def __enter__(self) -> "Epoch":
-        self._held += 1
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._held -= 1
-        if self._held == 0 and self._labels:
-            self._arm()
-
-    def _arm(self) -> None:
-        """Flush now, or at the end of the tick when an engine is attached."""
-        if self._armed:
-            return
-        if self._engine is None:
-            self._fire()
-            return
-        self._armed = True
-        self._engine.call_at(self._engine.now, self._fire,
-                             priority=self._priority)
 
     def _fire(self) -> None:
         """Run the flush with the batched label (engine event target)."""
-        self._armed = False
-        if not self._labels:
-            return
         labels, self._labels = self._labels, []
         label = "+".join(dict.fromkeys(labels))
         self.flushes += 1

@@ -303,9 +303,6 @@ class PathBuilder:
         if self._net is not None and self._net.has_component(comp):
             self._net.set_capacity(comp, float(capacity))
 
-    def class_cap(self, qos_class: str) -> float:
-        return self._class_caps.get(qos_class, math.inf)
-
     def link_utilizations(self, components) -> np.ndarray:
         """Utilization of each of ``components`` in the most recent
         resolve, as one array (0.0 where unknown) — the surface the

@@ -216,16 +216,10 @@ class SpiderSystem:
     def oss_of_ost(self, ost_index: int) -> Oss:
         return self._oss_by_name[self.osts[ost_index].oss_name]
 
-    def ssu_of_ost(self, ost_index: int) -> Ssu:
-        return self.ssus[self.osts[ost_index].ssu_index]
-
     def filesystem_of_ost(self, ost_index: int) -> LustreFilesystem:
         osts_per_ns = self.spec.n_osts // self.spec.n_namespaces
         ns = ost_index // osts_per_ns
         return list(self.filesystems.values())[ns]
-
-    def namespace_osts(self, fs_name: str) -> list[Ost]:
-        return self.filesystems[fs_name].osts
 
     # -- vectorized performance views ----------------------------------------------
 

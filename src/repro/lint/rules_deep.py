@@ -180,8 +180,7 @@ class EpochSafetyRule(DeepRule):
                     func = node.func
                     if isinstance(func, ast.Attribute):
                         if (func.attr in NETWORK_MUTATORS
-                                and _is_flow_network(project, fn, func.value)
-                                and not self._under_epoch(project, fn, node)):
+                                and _is_flow_network(project, fn, func.value)):
                             mutators.setdefault(qualname, (node, func.attr))
                         elif (func.attr in NETWORK_SOLVERS
                                 and _is_flow_network(project, fn, func.value)):
@@ -193,10 +192,6 @@ class EpochSafetyRule(DeepRule):
                     if (dotted and type_is(dotted, "Epoch") and node.args):
                         flush_funcs.update(
                             project.resolve_func_refs(fn, node.args[0]))
-                elif isinstance(node, (ast.With, ast.AsyncWith)):
-                    if any(_is_epoch(project, fn, item.context_expr)
-                           for item in node.items):
-                        epoch_users.add(qualname)
             for _site, targets in _schedule_registrations(project, fn):
                 for target in targets:
                     callbacks.setdefault(target, project.functions[target])
@@ -216,8 +211,7 @@ class EpochSafetyRule(DeepRule):
                         fn.ctx, fn.node,
                         f"event callback {fn.name}() reaches "
                         f"FlowNetwork.{method}(){via} with no Epoch on the "
-                        f"path; batch the mutation with Epoch.request() or "
-                        f"a `with epoch:` block")
+                        f"path; batch the mutation with Epoch.request()")
             direct = sorted(g for g in reach if g in solvers)
             if direct:
                 node, method = solvers[direct[0]]
@@ -228,19 +222,6 @@ class EpochSafetyRule(DeepRule):
                     f"FlowNetwork.{method}(){via}, bypassing Epoch batching; "
                     f"per-tick handlers must route re-solves through "
                     f"Epoch.request()")
-
-    @staticmethod
-    def _under_epoch(project: ProjectContext, fn: FunctionInfo,
-                     node: ast.AST) -> bool:
-        """Is this call lexically inside a ``with <epoch>:`` block?"""
-        for anc in fn.ctx.ancestors(node):
-            if isinstance(anc, (ast.With, ast.AsyncWith)) and any(
-                    _is_epoch(project, fn, item.context_expr)
-                    for item in anc.items):
-                return True
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
-        return False
 
 
 class _TaintPass:

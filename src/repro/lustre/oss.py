@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.obs.instruments import get_telemetry
 from repro.units import GB
 
 __all__ = ["OssSpec", "Oss"]
@@ -56,15 +55,6 @@ class Oss:
         self.leaf = leaf
         self.ost_indices = list(ost_indices)
         self.online = True
-        self.bytes_served_total = 0.0
-
-    def record_bytes(self, nbytes: float) -> None:
-        """Account data served through this OSS (attributed after a flow
-        solve; the OSS itself is a passive capacity in the path)."""
-        self.bytes_served_total += nbytes
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.counter("oss.bytes", self.name).add(float(nbytes))
 
     @property
     def component(self) -> str:

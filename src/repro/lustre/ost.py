@@ -112,10 +112,6 @@ class Ost:
     def fill_fraction(self) -> float:
         return min(1.0, self.used_bytes / self.spec.capacity_bytes)
 
-    @property
-    def free_bytes(self) -> int:
-        return max(0, self.spec.capacity_bytes - self.used_bytes)
-
     def allocate(self, nbytes: int, *, new_object: bool = True) -> None:
         """Account an object extent; allocation past capacity raises.
 

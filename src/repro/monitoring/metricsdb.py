@@ -110,18 +110,6 @@ class MetricsDb:
             return 0.0
         return (points[-1].value - points[start].value) / dt
 
-    def ingest_telemetry(self, telemetry, now: float) -> int:
-        """Bridge one snapshot of an in-process telemetry registry
-        (:class:`repro.obs.instruments.Telemetry`) into the store.
-
-        Both sides key series by (metric, source), so counters and gauges
-        land verbatim and histograms expand into ``.count``/``.mean``/
-        ``.p50``/``.p99`` sub-series — the shape the DDN-tool-style pollers
-        write.  Call it from a periodic engine process to sample in-process
-        instruments alongside externally polled metrics.  Returns the
-        number of points written.
-        """
-        return telemetry.publish(self, now)
 
     def aggregate_latest(self, metric: str) -> float:
         """Sum of latest values across all sources of ``metric``."""

@@ -9,7 +9,7 @@ center at once; this package models the facility at that level — a
   each job a phase sequence (:class:`Phase`, :class:`JobSpec`);
 * :mod:`repro.sched.arrivals` — seed-deterministic Poisson arrival
   generators per class (:class:`JobMix`, :func:`generate_jobs`);
-* :mod:`repro.sched.qos` — :class:`QosPolicy` caps/weights/limits and
+* :mod:`repro.sched.qos` — :class:`QosPolicy` caps/limits and
   the :class:`BandwidthArbiter` that re-solves the flow network at every
   state change;
 * :mod:`repro.sched.scheduler` — :class:`FacilityScheduler` drives the

@@ -65,10 +65,6 @@ def _default_degraded_caps() -> dict[PlatformClass, float]:
     }
 
 
-def _default_weights() -> dict[PlatformClass, float]:
-    return {cls: 1.0 for cls in PlatformClass}
-
-
 def _default_limits() -> dict[PlatformClass, int]:
     return {
         PlatformClass.SIMULATION: 24,
@@ -79,19 +75,17 @@ def _default_limits() -> dict[PlatformClass, int]:
 
 @dataclass(frozen=True)
 class QosPolicy:
-    """Per-class demand caps, arbitration weights, and admission limits.
+    """Per-class demand caps and admission limits.
 
     ``cap_fraction`` bounds each class's aggregate allocation to a
-    fraction of the current backbone (1.0 = uncapped); ``weight`` scales
-    a class's share under max-min contention; ``max_concurrent`` is the
-    admission limit — arrivals beyond it queue FIFO per class.
+    fraction of the current backbone (1.0 = uncapped);
+    ``max_concurrent`` is the admission limit — arrivals beyond it queue
+    FIFO per class.
     """
 
     enabled: bool = True
     cap_fraction: Mapping[PlatformClass, float] = field(
         default_factory=_default_caps)
-    weight: Mapping[PlatformClass, float] = field(
-        default_factory=_default_weights)
     max_concurrent: Mapping[PlatformClass, int] = field(
         default_factory=_default_limits)
     #: tighter caps applied while backpressure holds the arbiter in
@@ -109,9 +103,6 @@ class QosPolicy:
             if not (0 < frac <= 1):
                 raise ValueError(
                     f"degraded cap for {cls.value} must be in (0, 1]")
-        for cls, w in self.weight.items():
-            if w <= 0:
-                raise ValueError(f"weight for {cls.value} must be positive")
         for cls, limit in self.max_concurrent.items():
             if limit < 1:
                 raise ValueError(f"max_concurrent for {cls.value} must be >= 1")
@@ -131,10 +122,6 @@ class QosPolicy:
         and normal fractions (degraded mode never *loosens* a cap)."""
         return min(float(self.degraded_cap_fraction.get(platform, 1.0)),
                    self.cap_of(platform))
-
-    def weight_of(self, platform: PlatformClass) -> float:
-        """The class's arbitration weight (1.0 when unset)."""
-        return float(self.weight.get(platform, 1.0))
 
     def limit_of(self, platform: PlatformClass) -> int:
         """The class's admission limit (effectively unbounded when unset)."""
@@ -231,8 +218,7 @@ class BandwidthArbiter:
     def add(self, name: str, platform: PlatformClass,
             demand: float) -> None:
         """Register a running I/O phase as a flow (delta operation)."""
-        self._net.add_flow(name, self._path_of(platform), demand=demand,
-                           weight=self.policy.weight_of(platform))
+        self._net.add_flow(name, self._path_of(platform), demand=demand)
 
     def remove(self, name: str) -> None:
         """Drop a finished I/O phase's flow (delta operation)."""

@@ -183,7 +183,7 @@ class FacilityScheduler:
             ``fault_plan`` is given — build a fresh one per run).
         jobs: the arrival-sorted population (see
             :func:`~repro.sched.arrivals.generate_jobs`).
-        policy: admission limits, weights, and QoS caps.
+        policy: admission limits and QoS caps.
         horizon: run end in simulated seconds; defaults to the last
             arrival plus :data:`DEFAULT_HORIZON_TAIL`.  Jobs still
             queued or running at the horizon are censored.

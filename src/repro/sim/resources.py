@@ -66,10 +66,6 @@ class Server:
         self.stats = ServerStats()
 
     @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
-    @property
     def busy(self) -> int:
         return self._busy
 

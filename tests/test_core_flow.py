@@ -39,15 +39,6 @@ class TestBasics:
         res = simple_net(0.0, [math.inf]).solve()
         assert res.rates.tolist() == pytest.approx([0.0])
 
-    def test_weighted_shares(self):
-        net = FlowNetwork()
-        net.add_component("c", 12.0)
-        net.add_flow("heavy", ["c"], weight=2.0)
-        net.add_flow("light", ["c"], weight=1.0)
-        res = net.solve()
-        assert res.rate_of("heavy") == pytest.approx(8.0)
-        assert res.rate_of("light") == pytest.approx(4.0)
-
 
 class TestTopologies:
     def test_two_bottlenecks(self):
@@ -135,8 +126,6 @@ class TestValidation:
     def test_bad_weight_and_demand(self):
         net = FlowNetwork()
         net.add_component("c", 1.0)
-        with pytest.raises(ValueError):
-            net.add_flow("f", ["c"], weight=0.0)
         with pytest.raises(ValueError):
             net.add_flow("g", ["c"], demand=-1.0)
 

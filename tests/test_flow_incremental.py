@@ -6,8 +6,9 @@ The contract under test (DESIGN.md §9, docs/PERFORMANCE.md): a
 allocates the same rates as a network built from scratch in the current
 state — within 1e-9 relative, the float-associativity slack between the
 two fill orders.  Plus the :class:`Epoch` batching contract: permuting
-the changes inside one batch cannot change the solved rates, and the
-hot-loop :meth:`FlowNetwork.solve_rates` agreeing with :meth:`solve`.
+the changes inside one batch cannot change the solved rates, the
+hot-loop :meth:`FlowNetwork.solve_rates` agreeing with :meth:`solve`, and
+the scalar and vector fill kernels agreeing with each other.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 from repro.core import flow
 from repro.core.flow import RESOLVE_COUNTERS, Epoch, FlowNetwork
 from repro.obs.instruments import Telemetry, use_telemetry
+from repro.sim.engine import Engine
 
 #: relative tolerance between delta and scratch rates: the two solvers
 #: may freeze flows in different orders, so sums associate differently
@@ -32,8 +34,8 @@ def _scratch_clone(net: FlowNetwork) -> FlowNetwork:
     for name in net.component_names():
         clone.add_component(name, net.capacity_of(name))
     for name in net.flow_names():
-        path, demand, weight = net.flow_spec(name)
-        clone.add_flow(name, path, demand=demand, weight=weight)
+        path, demand = net.flow_spec(name)
+        clone.add_flow(name, path, demand=demand)
     return clone
 
 
@@ -73,7 +75,7 @@ def _random_delta(rng, nets, comps, step):
         demand = (math.inf if rng.random() < 0.2
                   else float(rng.uniform(0.01, 30.0)))
         method, args = "add_flow", (f"f{step}", _random_path(rng, comps),
-                                    demand, float(rng.uniform(0.5, 2.0)))
+                                    demand)
     elif op < 0.6:
         method, args = "remove_flow", (flows[int(rng.integers(len(flows)))],)
     elif op < 0.8:
@@ -127,6 +129,22 @@ def test_solve_rates_matches_solve(telemetry_on, scalar_nnz_max, monkeypatch):
         assert telemetry.counter(counter).value == expected
 
 
+@pytest.mark.parametrize("seed", [30, 31, 32, 33])
+def test_scalar_and_vector_kernels_agree(seed, monkeypatch):
+    """The two fill kernels solve the same networks to within ``_RTOL``:
+    one random op sequence replayed with every subproblem on the scalar
+    kernel and with every subproblem on the vector kernel."""
+    rng = np.random.default_rng(seed)
+    comps, nets = _random_networks(rng, count=2)
+    for step in range(60):
+        _random_delta(rng, nets, comps, step)
+        results = []
+        for net, nnz_max in zip(nets, (flow._SCALAR_NNZ_MAX, 0)):
+            monkeypatch.setattr(flow, "_SCALAR_NNZ_MAX", nnz_max)
+            results.append(net.solve())
+        _assert_rates_match(*results)
+
+
 @pytest.mark.parametrize("seed", [10, 11, 12])
 def test_batched_deltas_match_scratch(seed):
     """Several ops between solves (the epoch-batched shape) still match."""
@@ -176,14 +194,20 @@ def test_epoch_permutation_determinism():
             net.add_flow(name, path, demand=demand)
         net.solve()
         solved: list[np.ndarray] = []
-        epoch = Epoch(lambda _label: solved.append(net.solve().rates.copy()))
-        with epoch:
+        engine = Engine()
+        epoch = Epoch(lambda _label: solved.append(net.solve().rates.copy()),
+                      engine=engine)
+
+        def burst():
             for kind, target, value in order:
                 if kind == "cap":
                     net.set_capacity(target, value)
                 else:
                     net.set_demand(target, value)
                 epoch.request(f"{kind}:{target}")
+
+        engine.call_at(1.0, burst)
+        engine.run()
         assert epoch.flushes == 1  # the whole burst cost one solve
         return solved[0]
 
@@ -194,17 +218,22 @@ def test_epoch_permutation_determinism():
 
 
 def test_epoch_batches_labels_and_defers_to_end_of_tick():
-    flushed: list[str] = []
-    epoch = Epoch(flushed.append)
-    with epoch:
+    engine = Engine()
+    flushed: list[tuple[float, str]] = []
+    epoch = Epoch(lambda label: flushed.append((engine.now, label)),
+                  engine=engine)
+
+    def one_event():
         epoch.request("a")
         epoch.request("b")
         epoch.request("a")  # duplicates collapse
-        assert flushed == []  # held until the batch closes
-    assert flushed == ["a+b"]
-    assert epoch.flushes == 1
-    epoch.request("solo")  # outside a batch, no engine: immediate
-    assert flushed == ["a+b", "solo"]
+        assert flushed == []  # deferred to the end of the tick
+
+    engine.call_at(1.0, one_event)
+    engine.call_at(2.0, lambda: epoch.request("solo"))
+    engine.run()
+    assert flushed == [(1.0, "a+b"), (2.0, "solo")]
+    assert epoch.flushes == 2
 
 
 def test_add_component_readd_with_new_capacity_invalidates():

@@ -142,7 +142,7 @@ class TestTelemetryRegistry:
         h = t.histogram("mds.service_seconds", "mds0")
         h.observe(0.002)
         db = MetricsDb()
-        written = db.ingest_telemetry(t, now=30.0)
+        written = t.publish(db, now=30.0)
         assert written == 2 + 4
         assert db.latest("ost.write_bytes", "ost:0").value == 100.0
         assert db.latest("flow.layer.max_util", "ost").value == 0.8

@@ -22,8 +22,7 @@ def random_network(draw):
         path_len = draw(st.integers(1, min(4, n_comp)))
         path = draw(st.permutations(range(n_comp)))[:path_len]
         demand = draw(st.one_of(st.just(math.inf), st.floats(0.1, 50.0)))
-        weight = draw(st.floats(0.5, 3.0))
-        flows.append((f"f{i}", list(path), demand, weight))
+        flows.append((f"f{i}", list(path), demand))
     return caps, flows
 
 
@@ -31,8 +30,8 @@ def build(caps, flows):
     net = FlowNetwork()
     for i, c in enumerate(caps):
         net.add_component(str(i), c)
-    for name, path, demand, weight in flows:
-        net.add_flow(name, [str(p) for p in path], demand=demand, weight=weight)
+    for name, path, demand in flows:
+        net.add_flow(name, [str(p) for p in path], demand=demand)
     return net
 
 
@@ -45,7 +44,7 @@ def test_feasibility_and_demand_bounds(nw):
     for i, cap in enumerate(caps):
         assert res.component_load[str(i)] <= cap * (1 + _EPS) + _EPS
     # Demand bounds and non-negativity.
-    for (name, _path, demand, _w), rate in zip(flows, res.rates):
+    for (name, _path, demand), rate in zip(flows, res.rates):
         assert rate >= -_EPS
         if math.isfinite(demand):
             assert rate <= demand * (1 + _EPS) + _EPS
@@ -59,7 +58,7 @@ def test_maxmin_every_flow_is_limited(nw):
     caps, flows = nw
     res = build(caps, flows).solve()
     saturated = set(res.saturated_components(tol=1e-4))
-    for (name, path, demand, _w), rate in zip(flows, res.rates):
+    for (name, path, demand), rate in zip(flows, res.rates):
         demand_met = math.isfinite(demand) and rate >= demand * (1 - 1e-4) - _EPS
         crosses_saturated = any(str(p) in saturated for p in path)
         assert demand_met or crosses_saturated, (
