@@ -15,11 +15,18 @@ explicit OST list.
 from __future__ import annotations
 
 import itertools
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.lustre.mds import MdsSpec, MetadataServer, OpMix
-from repro.lustre.namespace import FileEntry, Namespace, StripeLayout
+from repro.lustre.namespace import (
+    FileEntry,
+    Namespace,
+    StripeLayout,
+    _normalize,
+    _parent,
+)
 from repro.lustre.ost import Ost
 from repro.units import MiB
 
@@ -55,6 +62,14 @@ class OstPool:
         self.qos_threshold = qos_threshold
         self._rr = itertools.cycle(range(len(self.osts)))
         self._ost_by_index = {ost.index: ost for ost in self.osts}
+        #: OST indices twice over: a round-robin pick is one slice
+        self._ring = [ost.index for ost in self.osts] * 2
+        #: fill fraction per position in ``osts``, kept by the OSTs
+        self._fills = [0.0] * len(self.osts)
+        for position, ost in enumerate(self.osts):
+            ost.keep_fill(self._fills, position)
+        #: one-stripe layouts by (OST, stripe size); frozen, so shared
+        self._one_stripe: dict[tuple[int, int], StripeLayout] = {}
 
     # -- capacity -----------------------------------------------------------------
 
@@ -81,13 +96,10 @@ class OstPool:
         toward free space when imbalance exceeds ``qos_threshold`` (the
         behaviour of Lustre's QOS allocator)."""
         stripe_count = min(stripe_count, len(self.osts))
-        fills = [o.fill_fraction for o in self.osts]
+        fills = self._fills
         if max(fills) - min(fills) <= self.qos_threshold:
             start = next(self._rr)
-            return tuple(
-                self.osts[(start + i) % len(self.osts)].index
-                for i in range(stripe_count)
-            )
+            return tuple(self._ring[start:start + stripe_count])
         # Imbalanced: prefer the emptiest OSTs.
         order = np.argsort(np.array(fills))
         return tuple(self.osts[i].index for i in order[:stripe_count])
@@ -102,10 +114,18 @@ class OstPool:
         if osts is None:
             osts = self.choose_osts(stripe_count or self.default_stripe_count)
         else:
+            osts = tuple(osts)
             for idx in osts:
                 if idx not in self._ost_by_index:
                     raise KeyError(f"OST {idx} not in file system {self.name}")
-        return StripeLayout(osts=tuple(osts), stripe_size=stripe_size or self.default_stripe_size)
+        stripe_size = stripe_size or self.default_stripe_size
+        if len(osts) != 1:
+            return StripeLayout(osts=osts, stripe_size=stripe_size)
+        key = (osts[0], stripe_size)
+        layout = self._one_stripe.get(key)
+        if layout is None:
+            layout = self._one_stripe[key] = StripeLayout(osts, stripe_size)
+        return layout
 
     def _charge_growth(self, entry: FileEntry, nbytes: int) -> None:
         """Allocate on each stripe's OST the bytes ``entry`` gains when it
@@ -132,7 +152,12 @@ class OstPool:
 
     def _release(self, entry: FileEntry) -> None:
         """Give back the capacity and the objects of a removed file."""
-        for ost_index, share in entry.layout.ost_share(entry.size).items():
+        layout = entry.layout
+        if len(layout.osts) == 1:
+            if entry.size > 0:
+                self._ost_by_index[layout.osts[0]].release(entry.size)
+            return
+        for ost_index, share in layout.ost_share(entry.size).items():
             if share > 0:
                 self._ost_by_index[ost_index].release(share)
 
@@ -172,14 +197,53 @@ class LustreFilesystem(OstPool):
         project: str = "proj",
     ) -> FileEntry:
         """Create (and optionally pre-size) a file; charges MDS + OSTs."""
-        layout = self.layout_for(stripe_count, stripe_size, osts)
-        entry = self.namespace.create(
-            path, layout, now, size=0, owner=owner, project=project
-        )
-        self.mds.service_time(OpMix(creates=1))
-        if size:
-            self.append(path, size, now)
-        return entry
+        return self.create_files(
+            (path,), (size,), now, stripe_count=stripe_count,
+            stripe_size=stripe_size, osts=osts, owner=owner,
+            project=project)[0]
+
+    def create_files(
+        self,
+        paths: Sequence[str],
+        sizes: Sequence[int],
+        now: float,
+        *,
+        stripe_count: int | None = None,
+        stripe_size: int | None = None,
+        osts: tuple[int, ...] | None = None,
+        owner: str = "user",
+        project: str = "proj",
+    ) -> list[FileEntry]:
+        """Create and pre-size a batch of files, in order.
+
+        Each file gets what :meth:`create_file` gives it: OSTs, an entry
+        and its bytes.  The MDS is charged once, for every file created;
+        a file that raises leaves the ones before it created and charged.
+        Consecutive files of one directory resolve it once.
+        """
+        if len(paths) != len(sizes):
+            raise ValueError("need one size per path")
+        namespace = self.namespace
+        entries: list[FileEntry] = []
+        directory = siblings = None
+        try:
+            for path, size in zip(paths, sizes):
+                layout = self.layout_for(stripe_count, stripe_size, osts)
+                path = _normalize(path)
+                parent = _parent(path)
+                if parent != directory:
+                    siblings = namespace._child_set(parent)
+                    directory = parent
+                entry = namespace._add_file(path, siblings, layout, now, 0,
+                                            owner, project)
+                entries.append(entry)
+                if size:
+                    self._charge_growth(entry, size)
+                    namespace.write(path, size, now)
+        finally:
+            if entries:
+                self.mds.service_time(OpMix(creates=len(entries)))
+        return entries
 
     def mkdir(self, path: str, now: float, **kwargs) -> FileEntry:
         entry = self.namespace.mkdir(path, now, parents=True, **kwargs)
@@ -199,11 +263,28 @@ class LustreFilesystem(OstPool):
         return entry
 
     def unlink(self, path: str) -> FileEntry:
-        entry = self.namespace.get(path)
-        if not entry.is_dir and entry.layout is not None:
-            self._release(entry)
-        self.mds.service_time(OpMix(unlinks=1))
-        return self.namespace.unlink(path)
+        return self.unlink_files((path,))[0]
+
+    def unlink_files(self, paths: Iterable[str]) -> list[FileEntry]:
+        """Remove a batch of entries, in order, releasing file capacity.
+
+        The MDS is charged once, for every unlink issued; an entry that
+        raises leaves the ones before it removed and charged.
+        """
+        namespace = self.namespace
+        removed: list[FileEntry] = []
+        issued = 0
+        try:
+            for path in paths:
+                entry = namespace.get(path)
+                if not entry.is_dir and entry.layout is not None:
+                    self._release(entry)
+                issued += 1
+                removed.append(namespace.unlink(path))
+        finally:
+            if issued:
+                self.mds.service_time(OpMix(unlinks=issued))
+        return removed
 
     # -- metadata-path conveniences -------------------------------------------------------
 

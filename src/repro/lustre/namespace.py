@@ -163,13 +163,16 @@ class Namespace:
     # -- mutation ----------------------------------------------------------------
 
     def _attach(self, path: str) -> None:
-        parent = _parent(path)
-        parent_entry = self._entries.get(parent)
-        if parent_entry is None:
-            raise NamespaceError(f"missing parent directory: {parent}")
-        if not parent_entry.is_dir:
-            raise NamespaceError(f"parent is a file: {parent}")
-        self._children[parent].add(path)
+        self._child_set(_parent(path)).add(path)
+
+    def _child_set(self, directory: str) -> set[str]:
+        """The children of ``directory``, which must exist as a directory."""
+        entry = self._entries.get(directory)
+        if entry is None:
+            raise NamespaceError(f"missing parent directory: {directory}")
+        if not entry.is_dir:
+            raise NamespaceError(f"parent is a file: {directory}")
+        return self._children[directory]
 
     def mkdir(self, path: str, now: float = 0.0, *, owner: str = "root",
               project: str = "system", parents: bool = False) -> FileEntry:
@@ -204,6 +207,15 @@ class Namespace:
         project: str = "proj",
     ) -> FileEntry:
         path = _normalize(path)
+        return self._add_file(path, self._child_set(_parent(path)), layout,
+                              now, size, owner, project)
+
+    def _add_file(self, path: str, siblings: set[str], layout: StripeLayout,
+                  now: float, size: int, owner: str,
+                  project: str) -> FileEntry:
+        """Insert a file at a normalized ``path`` whose parent's child set
+        is ``siblings``: the mutation :meth:`create` makes, for callers
+        that resolve a directory once for many files."""
         if path in self._entries:
             raise NamespaceError(f"file exists: {path}")
         entry = FileEntry(
@@ -211,7 +223,7 @@ class Namespace:
             atime=now, mtime=now, ctime=now,
             layout=layout, owner=owner, project=project,
         )
-        self._attach(path)
+        siblings.add(path)
         self._entries[path] = entry
         self.n_files += 1
         return entry

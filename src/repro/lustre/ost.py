@@ -95,6 +95,8 @@ class Ost:
         # (registry, write counter, read counter) — cached instruments,
         # revalidated on registry swap (instruments are stable per key).
         self._instruments = None
+        #: (fill list, position) of every pool keeping this OST's fill
+        self._fill_slots: list[tuple[list[float], int]] = []
 
     def _tel_counters(self, telemetry):
         cached = self._instruments
@@ -112,6 +114,18 @@ class Ost:
     def fill_fraction(self) -> float:
         return min(1.0, self.used_bytes / self.spec.capacity_bytes)
 
+    def keep_fill(self, fills: list[float], position: int) -> None:
+        """Keep ``fills[position]`` equal to :attr:`fill_fraction`:
+        :meth:`allocate` and :meth:`release` write it on every change, so
+        a pool reads its OSTs' fills without visiting them."""
+        fills[position] = self.fill_fraction
+        self._fill_slots.append((fills, position))
+
+    def _fill_changed(self) -> None:
+        fill = self.fill_fraction
+        for fills, position in self._fill_slots:
+            fills[position] = fill
+
     def allocate(self, nbytes: int, *, new_object: bool = True) -> None:
         """Account an object extent; allocation past capacity raises.
 
@@ -124,6 +138,7 @@ class Ost:
         if new_object:
             self.n_objects += 1
         self.written_bytes_total += nbytes
+        self._fill_changed()
         telemetry = get_telemetry()
         if telemetry.enabled:
             self._tel_counters(telemetry)[1].add(float(nbytes))
@@ -133,6 +148,7 @@ class Ost:
             raise ValueError("nbytes must be non-negative")
         self.used_bytes = max(0, self.used_bytes - nbytes)
         self.n_objects = max(0, self.n_objects - 1)
+        self._fill_changed()
 
     def record_read(self, nbytes: int) -> None:
         self.read_bytes_total += nbytes

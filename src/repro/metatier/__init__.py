@@ -42,7 +42,7 @@ from repro.metatier.scenarios import (
     TrainingReads,
     UntarStorm,
 )
-from repro.metatier.shards import ShardedFilesystem, ShardedNamespace, shard_key
+from repro.metatier.shards import ShardedFilesystem, ShardedNamespace
 from repro.metatier.study import (
     ArmResult,
     MetaStudyResult,
@@ -86,6 +86,5 @@ __all__ = [
     "UntarStorm",
     "WarmTier",
     "run_meta_study",
-    "shard_key",
     "tradeoff_rows",
 ]

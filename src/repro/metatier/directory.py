@@ -18,6 +18,9 @@ tiny-file read path entirely:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Iterator
+
+import numpy as np
 
 from repro.metatier.needles import Needle, SegmentStore
 from repro.sim.rng import RngStreams
@@ -27,6 +30,30 @@ __all__ = ["DirectoryEntry", "HaystackDirectory", "NeedleCache"]
 #: estimated in-memory index bytes per needle: key hash + segment id +
 #: offset + length + flags, Haystack's ~10 bytes/needle plus dict overhead
 INDEX_BYTES_PER_NEEDLE = 48
+
+
+class _Draws:
+    """Seeded draws served in order, requested in vectors.
+
+    ``draw(n)`` must yield the stream of ``n`` scalar draws, as numpy's
+    ``Generator.integers`` and ``random`` do; draws a caller requested
+    but did not take wait for the next request, so the served sequence
+    never depends on how requests were batched.
+    """
+
+    def __init__(self, draw: Callable[[int], np.ndarray]) -> None:
+        self._draw = draw
+        #: drawn and not yet served, next one last
+        self._waiting: list = []
+
+    def take(self, n: int) -> Iterator:
+        """Serve up to ``n`` draws, drawing the shortfall as one vector."""
+        short = n - len(self._waiting)
+        if short > 0:
+            self._waiting[:0] = self._draw(short).tolist()[::-1]
+        waiting = self._waiting
+        for _ in range(n):
+            yield waiting.pop()
 
 
 @dataclass(frozen=True)
@@ -52,7 +79,9 @@ class HaystackDirectory:
         self._by_name = {store.name: store for store in self.stores}
         if len(self._by_name) != len(self.stores):
             raise ValueError("store names must be unique")
-        self._rng = RngStreams(seed).get("metatier.directory")
+        rng = RngStreams(seed).get("metatier.directory")
+        n_stores = len(self.stores)
+        self._picks = _Draws(lambda n: rng.integers(0, n_stores, size=n))
         self.entries: dict[str, DirectoryEntry] = {}
 
     def __len__(self) -> int:
@@ -64,9 +93,18 @@ class HaystackDirectory:
 
     def store_for_write(self) -> SegmentStore:
         """Pick the store for a new logical ID (seeded balanced choice)."""
-        if len(self.stores) == 1:
-            return self.stores[0]
-        return self.stores[int(self._rng.integers(0, len(self.stores)))]
+        return next(self.stores_for_write(1))
+
+    def stores_for_write(self, n: int) -> Iterator[SegmentStore]:
+        """Stores for up to ``n`` new logical IDs, in order: the picks
+        :meth:`store_for_write` would make, drawn as one vector."""
+        stores = self.stores
+        if len(stores) == 1:
+            for _ in range(n):
+                yield stores[0]
+            return
+        for pick in self._picks.take(n):
+            yield stores[pick]
 
     def record(self, key: str, store: SegmentStore, needle: Needle) -> None:
         """Bind ``key`` to its physical location after a store write."""
@@ -111,18 +149,25 @@ class NeedleCache:
         if not (0.0 <= hit_rate <= 1.0):
             raise ValueError("hit_rate must be in [0, 1]")
         self.hit_rate = hit_rate
-        self._rng = RngStreams(seed).get("metatier.cache")
+        self._uniforms = _Draws(RngStreams(seed).get("metatier.cache").random)
         self.hits = 0
         self.misses = 0
 
     def lookup(self) -> bool:
         """One read's cache outcome; ``True`` skips the store entirely."""
-        hit = bool(self._rng.random() < self.hit_rate)
-        if hit:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return hit
+        return next(self.lookups(1))
+
+    def lookups(self, n: int) -> Iterator[bool]:
+        """Up to ``n`` reads' cache outcomes, in order: the outcomes
+        :meth:`lookup` would give, drawn as one vector."""
+        hit_rate = self.hit_rate
+        for u in self._uniforms.take(n):
+            if u < hit_rate:
+                self.hits += 1
+                yield True
+            else:
+                self.misses += 1
+                yield False
 
     @property
     def observed_hit_rate(self) -> float:

@@ -33,6 +33,7 @@ __all__ = [
     "Segment",
     "SegmentStore",
     "CompactionReport",
+    "SegmentAppends",
     "NEEDLE_HEADER_BYTES",
 ]
 
@@ -133,6 +134,37 @@ class CompactionReport:
     bytes_reclaimed: int
 
 
+class SegmentAppends:
+    """Needle bytes written into segments but not yet appended to their
+    segment files.
+
+    A batch of needle writes collects its framed bytes here, and
+    :meth:`flush` charges each segment's run with one ``fs.append``.  A
+    store flushes before it creates a segment file, so OST choice sees
+    the fills that one append per needle would leave.  An OST that runs
+    out of space raises at the flush, after the run's needles are
+    indexed, where one append per needle would raise at the needle.
+    """
+
+    def __init__(self) -> None:
+        #: (file system id, segment path) → [file system, path, bytes]
+        self._runs: dict[tuple[int, str], list] = {}
+
+    def add(self, fs: LustreFilesystem, path: str, nbytes: int) -> None:
+        """Owe ``nbytes`` more to the segment file at ``path``."""
+        run = self._runs.get((id(fs), path))
+        if run is None:
+            self._runs[(id(fs), path)] = [fs, path, nbytes]
+        else:
+            run[2] += nbytes
+
+    def flush(self, now: float) -> None:
+        """Append every owed run to its segment file."""
+        runs, self._runs = self._runs, {}
+        for fs, path, nbytes in runs.values():
+            fs.append(path, nbytes, now)
+
+
 @dataclass
 class _StoreCounters:
     """Plain-int op accounting (always on, unlike telemetry)."""
@@ -207,24 +239,41 @@ class SegmentStore:
         self.counters.segment_creates += 1
         return segment
 
-    def _writable(self, framed_bytes: int, now: float) -> Segment:
+    def _writable(self, framed_bytes: int, now: float,
+                  appends: SegmentAppends) -> Segment:
         segment = self._open
         if segment is None or not segment.fits(framed_bytes):
             if segment is not None:
                 segment.sealed = True
+            appends.flush(now)
             segment = self._new_segment(now)
             self._open = segment
         return segment
 
     # -- data path ---------------------------------------------------------
 
-    def write(self, key: str, length: int, now: float) -> Needle:
+    def write(self, key: str, length: int, now: float, *,
+              appends: SegmentAppends | None = None) -> Needle:
         """Append one needle; returns its index record.
 
         Costs: an in-memory index insert, an OST append of the framed
         bytes (amortized one MDS ``create`` per segment), **zero**
-        per-needle MDS operations — the Haystack bargain.
+        per-needle MDS operations — the Haystack bargain.  A batch passes
+        its ``appends`` and flushes them once at its end; without one,
+        the bytes are appended at once.
         """
+        if appends is not None:
+            return self._put(key, length, now, now, appends)
+        appends = SegmentAppends()
+        try:
+            return self._put(key, length, now, now, appends)
+        finally:
+            appends.flush(now)
+
+    def _put(self, key: str, length: int, now: float, written_at: float,
+             appends: SegmentAppends) -> Needle:
+        """Write one needle stamped ``written_at``, owing its bytes to
+        ``appends``."""
         if length <= 0:
             raise ValueError("needle length must be positive")
         if length > self.spec.max_needle_bytes:
@@ -235,11 +284,11 @@ class SegmentStore:
         if key in self.index:
             raise KeyError(f"needle exists: {key}")
         framed = NEEDLE_HEADER_BYTES + length
-        segment = self._writable(framed, now)
+        segment = self._writable(framed, now, appends)
         needle = Needle(key=key, segment_index=segment.index,
                         offset=segment.write_offset, length=length,
-                        written_at=now)
-        self.fs.append(segment.path, framed, now)
+                        written_at=written_at)
+        appends.add(self.fs, segment.path, framed)
         segment.write_offset += framed
         segment.live_bytes += framed
         segment.n_live += 1
@@ -335,30 +384,31 @@ class SegmentStore:
                 bucket = buckets.get(needle.segment_index)
                 if bucket is not None:
                     bucket.append(needle)
-        for segment in victims:
-            # Live needles of this segment, in offset order (deterministic
-            # regardless of index insertion history).
-            movers = sorted(buckets.pop(segment.index),
-                            key=lambda n: n.offset)
-            for needle in movers:
-                del self.index[needle.key]
-                moved = self.write(needle.key, needle.length, now)
-                # Preserve the original write time: compaction is a
-                # physical move, not a logical touch, and the warm tier's
-                # age clock must not reset.
-                self.index[needle.key] = Needle(
-                    key=moved.key, segment_index=moved.segment_index,
-                    offset=moved.offset, length=moved.length,
-                    written_at=needle.written_at)
-                rewritten += 1
-                bytes_rewritten += needle.framed_bytes
-            bytes_reclaimed += segment.write_offset
-            self.fs.unlink(segment.path)
-            segment.live_bytes = 0
-            segment.dead_bytes = 0
-            segment.n_live = 0
-            segment.n_dead = 0
-            segment.retired = True  # no longer on hot OSTs
+        appends = SegmentAppends()
+        try:
+            for segment in victims:
+                # Live needles of this segment, in offset order
+                # (deterministic regardless of index insertion history).
+                movers = sorted(buckets.pop(segment.index),
+                                key=lambda n: n.offset)
+                for needle in movers:
+                    del self.index[needle.key]
+                    # Keep the original write time: compaction is a
+                    # physical move, not a logical touch, and the warm
+                    # tier's age clock must not reset.
+                    self._put(needle.key, needle.length, now,
+                              needle.written_at, appends)
+                    rewritten += 1
+                    bytes_rewritten += needle.framed_bytes
+                bytes_reclaimed += segment.write_offset
+                self.fs.unlink(segment.path)
+                segment.live_bytes = 0
+                segment.dead_bytes = 0
+                segment.n_live = 0
+                segment.n_dead = 0
+                segment.retired = True  # no longer on hot OSTs
+        finally:
+            appends.flush(now)
         if victims:
             self.counters.compactions += 1
             telemetry = get_telemetry()

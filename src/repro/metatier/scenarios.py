@@ -17,7 +17,10 @@ The workloads talk to a *tier* — :class:`PerFileTier` (every tiny file a
 real namespace entry on one MDS: the baseline) or :class:`AggregatedTier`
 (needles in segments + sharded residual namespace + warm migration) —
 through the same verbs, so every difference in MDS busy time is
-attributable to the tier, not the workload.
+attributable to the tier, not the workload.  The workloads call each
+tier's batch verbs (``create_many``, ``read_many``, ``delete_many``) once
+per batch or sweep; the per-op verbs are one-element batches, and a batch
+leaves the state of one per-op call per element.
 
 :func:`default_fault_plan` builds the study's two metadata-relevant
 faults (an MDS overload storm, an OST fill) as an ordinary
@@ -30,14 +33,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.lustre.filesystem import LustreFilesystem
 from repro.lustre.mds import OpMix
 from repro.metatier.directory import HaystackDirectory, NeedleCache
-from repro.metatier.needles import SegmentStore
+from repro.metatier.needles import SegmentAppends, SegmentStore
 from repro.metatier.shards import ShardedFilesystem
 from repro.metatier.warmtier import AgeMigrationPolicy, WarmTier
 from repro.obs.trace import get_tracer
@@ -147,26 +150,58 @@ class PerFileTier(_Tier):
     ``create`` pays an MDS create, ``read`` pays the open-path getattr
     plus the OST reads, ``delete`` pays an unlink, and the audit walk
     stats every file — precisely the §IV-C traffic the aggregated tier
-    exists to remove.
+    exists to remove.  Each batch verb charges its ops to the MDS as one
+    demand; the per-op verbs are one-element batches.
     """
 
     name = "per-file"
 
     def create(self, path: str, size: int, now: float) -> None:
         """Create one tiny file (single-OST stripe, §VII best practice)."""
-        self.fs.create_file(path, now, size=size, stripe_count=1)
-        self.logical_creates += 1
+        self.create_many((path,), (size,), now)
+
+    def create_many(self, paths: Sequence[str], sizes: Sequence[int],
+                    now: float) -> None:
+        """Create a batch of tiny files, in order."""
+        namespace = self.fs.namespace
+        before = len(namespace)
+        try:
+            self.fs.create_files(paths, sizes, now, stripe_count=1)
+        finally:
+            self.logical_creates += len(namespace) - before
 
     def read(self, path: str, now: float) -> None:
         """Read one file: the open-path getattr + the data."""
-        self.fs.stat(path)
-        self.fs.read_file(path, now)
-        self.logical_reads += 1
+        self.read_many((path,), now)
+
+    def read_many(self, paths: Sequence[str], now: float) -> None:
+        """Read a batch of files, in order: their open-path getattrs at
+        the batch's mean stripe count, and their data."""
+        fs = self.fs
+        n = stripes = 0
+        try:
+            for path in paths:
+                entry = fs.read_file(path, now)
+                n += 1
+                stripes += entry.layout.stripe_count if entry.layout else 0
+        finally:
+            if n:
+                fs.mds.service_time(
+                    OpMix(stats=n, mean_stripe_count=stripes / n))
+                self.logical_reads += n
 
     def delete(self, path: str, now: float) -> None:
         """Unlink one file."""
-        self.fs.unlink(path)
-        self.logical_deletes += 1
+        self.delete_many((path,), now)
+
+    def delete_many(self, paths: Iterable[str], now: float) -> None:
+        """Unlink a batch of files, in order."""
+        namespace = self.fs.namespace
+        before = len(namespace)
+        try:
+            self.fs.unlink_files(paths)
+        finally:
+            self.logical_deletes += before - len(namespace)
 
     def audit(self, n_entries: int, now: float) -> None:
         """Examine ``n_entries`` inodes: one stat each on the single MDS
@@ -208,24 +243,70 @@ class AggregatedTier(_Tier):
 
     def create(self, path: str, size: int, now: float) -> None:
         """Write one needle; the path becomes a logical ID, not an inode."""
-        store = self.directory.store_for_write()
-        needle = store.write(path, size, now)
-        self.directory.record(path, store, needle)
-        self.logical_creates += 1
+        self.create_many((path,), (size,), now)
+
+    def create_many(self, paths: Sequence[str], sizes: Sequence[int],
+                    now: float) -> None:
+        """Write a batch of needles, in order.
+
+        The store picks come as one draw, and each segment file gets one
+        append per run of the batch's needles (stores flush the runs
+        before they create a segment file).  A logical ID that exists
+        raises; the needles before it stay written.
+        """
+        if len(paths) != len(sizes):
+            raise ValueError("need one size per path")
+        directory = self.directory
+        picks = directory.stores_for_write(len(paths))
+        appends = SegmentAppends()
+        written = 0
+        try:
+            for path, size in zip(paths, sizes):
+                if path in directory:
+                    raise KeyError(f"logical ID exists: {path}")
+                store = next(picks)
+                directory.record(
+                    path, store, store.write(path, size, now, appends=appends))
+                written += 1
+        finally:
+            appends.flush(now)
+            self.logical_creates += written
 
     def read(self, path: str, now: float) -> None:
         """Read one needle: cache hit skips the store entirely; a miss is
         one index lookup + one OST seek.  Zero MDS ops either way."""
-        entry = self.directory.locate(path)
-        if not self.cache.lookup():
-            self.directory.store(entry.store).read(path, now)
-        self.logical_reads += 1
+        self.read_many((path,), now)
+
+    def read_many(self, paths: Sequence[str], now: float) -> None:
+        """Read a batch of needles, in order; the cache outcomes come as
+        one draw."""
+        directory = self.directory
+        hits = self.cache.lookups(len(paths))
+        n = 0
+        try:
+            for path in paths:
+                entry = directory.locate(path)
+                if not next(hits):
+                    directory.store(entry.store).read(path, now)
+                n += 1
+        finally:
+            self.logical_reads += n
 
     def delete(self, path: str, now: float) -> None:
         """Tombstone one needle (space comes back at compaction)."""
-        entry = self.directory.forget(path)
-        self.directory.store(entry.store).delete(path, now)
-        self.logical_deletes += 1
+        self.delete_many((path,), now)
+
+    def delete_many(self, paths: Iterable[str], now: float) -> None:
+        """Tombstone a batch of needles, in order."""
+        directory = self.directory
+        n = 0
+        try:
+            for path in paths:
+                entry = directory.forget(path)
+                directory.store(entry.store).delete(path, now)
+                n += 1
+        finally:
+            self.logical_deletes += n
 
     def audit(self, n_entries: int, now: float) -> None:
         """Examine ``n_entries`` logical inodes: an in-memory index scan,
@@ -294,25 +375,27 @@ class UntarStorm:
 
     def _extract_batch(self, tier, sizes: TinyFileSizes, start: int,
                        count: int, made_dirs: int, now: float) -> int:
-        """Extract one batch of files at sim time ``now``; returns the
-        highest directory index created so far."""
+        """Extract one batch of files at sim time ``now``: the batch's new
+        directories, then its creates, then its build temporaries'
+        deletes.  Returns the highest directory index created so far."""
+        per_dir = self.files_per_dir
+        last_dir = (start + count - 1) // per_dir
+        for d in range(made_dirs + 1, last_dir + 1):
+            tier.mkdir(f"{self.root}/d{d:05d}", now)
+        paths = [f"{self.root}/d{i // per_dir:05d}/f{i:08d}"
+                 for i in range(start, start + count)]
+        tier.create_many(paths, [sizes.draw() for _ in paths], now)
+        # every 1/temp_fraction-th file is a build temporary
+        every = (max(1, round(1 / self.temp_fraction))
+                 if self.temp_fraction else 0)
         temps = []
-        for i in range(start, start + count):
-            d = i // self.files_per_dir
-            if d > made_dirs:
-                tier.mkdir(f"{self.root}/d{d:05d}", now)
-                made_dirs = d
-            path = f"{self.root}/d{d:05d}/f{i:08d}"
-            tier.create(path, sizes.draw(), now)
-            # every 1/temp_fraction-th file is a build temporary
-            if (self.temp_fraction
-                    and i % max(1, round(1 / self.temp_fraction)) == 0):
+        for i, path in enumerate(paths, start):
+            if every and i % every == 0:
                 temps.append(path)
             else:
                 self.manifest.append((path, now))
-        for path in temps:
-            tier.delete(path, now)
-        return made_dirs
+        tier.delete_many(temps, now)
+        return max(made_dirs, last_dir)
 
 
 @dataclass
@@ -356,9 +439,10 @@ class TrainingReads:
             n_batches = max(1, (take + self.batch - 1) // self.batch)
             dt = self.epoch_duration / n_batches
             for lo in range(0, take, self.batch):
-                for j in order[lo:lo + self.batch]:
-                    tier.read(self.manifest[int(j)][0], engine.now)
-                    n_reads += 1
+                chunk = order[lo:lo + self.batch].tolist()
+                tier.read_many([self.manifest[j][0] for j in chunk],
+                               engine.now)
+                n_reads += len(chunk)
                 yield dt
         get_tracer().end(span, reads=n_reads)
 
@@ -400,17 +484,16 @@ class AuditSweep:
         now = engine.now
         examined = len(self.manifest)
         tier.audit(examined, now)
-        survivors = []
-        purged = 0
-        for path, written_at in self.manifest:
-            if now - written_at > self.max_age:
-                tier.delete(path, now)
-                purged += 1
-            else:
-                survivors.append((path, written_at))
-        self.manifest[:] = survivors
+        max_age = self.max_age
+        expired = [path for path, written_at in self.manifest
+                   if now - written_at > max_age]
+        tier.delete_many(expired, now)
+        if expired:
+            self.manifest[:] = [entry for entry in self.manifest
+                                if not now - entry[1] > max_age]
         self.reports.append(
-            AuditReport(swept_at=now, examined=examined, purged=purged))
+            AuditReport(swept_at=now, examined=examined,
+                        purged=len(expired)))
         tier.housekeep(now)
 
 

@@ -42,22 +42,17 @@ from repro.lustre.namespace import (
 from repro.lustre.ost import Ost
 from repro.units import MiB
 
-__all__ = ["ShardedNamespace", "ShardedFilesystem", "shard_key"]
+__all__ = ["ShardedNamespace", "ShardedFilesystem"]
 
 
-def shard_key(path: str, n_shards: int) -> int:
-    """Owning shard of ``path``: crc32 of its parent directory.
+def _dir_shard(directory: str, n_shards: int) -> int:
+    """Shard owning the entries of a normalized ``directory``.
 
     Subtree partitioning — siblings colocate, so ``listdir`` and the
     common create/stat/unlink patterns of a directory-local workload
     stay on one MDT.  crc32 (not ``hash``) keeps the mapping stable
     across processes and Python hash seeds.
     """
-    return _dir_shard(_parent(_normalize(path)), n_shards)
-
-
-def _dir_shard(directory: str, n_shards: int) -> int:
-    """Shard owning the entries of a normalized ``directory``."""
     return zlib.crc32(directory.encode("utf-8")) % n_shards
 
 
@@ -94,7 +89,7 @@ class ShardedNamespace:
         return len(self.shards)
 
     def shard_of(self, path: str) -> int:
-        """Shard index owning ``path``."""
+        """Shard index owning ``path``: crc32 of its parent directory."""
         return self._owner(path)[1]
 
     def _owner(self, path: str) -> tuple[str, int]:

@@ -308,6 +308,9 @@ def _run_arm(
 
     engine.every(sample_interval, _sample, name="storm:sample")
     engine.run(until=duration)
+    # Free this arm's engine, overlay and paths as soon as it returns,
+    # not at the next full collection, which may fall in the next arm.
+    engine.close()
 
     flowlet = policy if isinstance(policy, FlowletRouting) else None
     return StormArm(

@@ -289,3 +289,13 @@ class Engine:
     def peek(self) -> float:
         """Timestamp of the next scheduled event, or ``inf`` if idle."""
         return self._heap[0][0] if self._heap else math.inf
+
+    def close(self) -> None:
+        """Drop every pending event; the run is over.
+
+        Pending callbacks usually lead back to the engine (a periodic
+        loop's closure, a process's generator), so a finished engine that
+        still holds them is cyclic garbage that only a full collection
+        frees, with everything its callbacks reach.
+        """
+        self._heap.clear()

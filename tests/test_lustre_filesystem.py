@@ -1,9 +1,15 @@
 """LustreFilesystem tests: allocation, QOS behaviour, accounting."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
+from repro.faults.events import FaultClass, PlannedFault
+from repro.faults.injectors import OstFillInjector
 from repro.lustre.filesystem import LustreFilesystem
 from repro.lustre.ost import Ost, OstSpec
+from repro.sim.rng import RngStreams
 from repro.units import GiB, MiB, TB
 
 
@@ -34,6 +40,72 @@ class TestAllocation:
         fs = make_fs(n_osts=2)
         with pytest.raises(KeyError):
             fs.layout_for(osts=(99,))
+
+
+class TestKeptFills:
+    """``Ost.allocate`` and ``Ost.release`` keep every pool's fill list;
+    it must read what scanning the OSTs reads, and ``choose_osts`` must
+    choose what it chose when it scanned them."""
+
+    @staticmethod
+    def scanned_choice(pool, stripe_count: int, balanced_picks: int):
+        """The scanning ``choose_osts``, given how many balanced picks the
+        pool made before; returns the choice and whether it was one."""
+        n = len(pool.osts)
+        stripe_count = min(stripe_count, n)
+        fills = [o.fill_fraction for o in pool.osts]
+        if max(fills) - min(fills) <= pool.qos_threshold:
+            start = balanced_picks % n
+            return tuple(pool.osts[(start + i) % n].index
+                         for i in range(stripe_count)), True
+        order = np.argsort(np.array(fills))
+        return tuple(pool.osts[i].index for i in order[:stripe_count]), False
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kept_fills_equal_the_scanned_fills(self, seed):
+        rng = RngStreams(seed).get("test.fills")
+        capacity = 10_000
+        osts = [Ost(i, OstSpec(capacity_bytes=capacity)) for i in range(6)]
+        # OST 3 belongs to both pools
+        pools = [LustreFilesystem("a", osts[:4]),
+                 LustreFilesystem("b", osts[3:])]
+        system = SimpleNamespace(osts=osts)
+        injector = OstFillInjector()
+        fills_in_force: dict[int, tuple[PlannedFault, int]] = {}
+        balanced_picks = [0, 0]
+        paths_taken = set()
+        for _step in range(400):
+            op = int(rng.integers(5))
+            index = int(rng.integers(len(osts)))
+            ost = osts[index]
+            if op == 0:
+                room = capacity - ost.used_bytes
+                if room:
+                    ost.allocate(int(rng.integers(0, room + 1)),
+                                 new_object=bool(rng.integers(2)))
+            elif op == 1:
+                ost.release(int(rng.integers(0, capacity // 2)))
+            elif op == 2 and index not in fills_in_force:
+                fault = PlannedFault(0.0, FaultClass.OST_FILL, index,
+                                     magnitude=float(rng.uniform(0.3, 1.0)))
+                fills_in_force[index] = (
+                    fault, injector.inject(system, fault))
+            elif op == 3 and fills_in_force:
+                key = sorted(fills_in_force)[
+                    int(rng.integers(len(fills_in_force)))]
+                fault, token = fills_in_force.pop(key)
+                injector.repair(system, fault, token)
+            elif op == 4:
+                for p, pool in enumerate(pools):
+                    stripes = int(rng.integers(1, 4))
+                    expected, balanced = self.scanned_choice(
+                        pool, stripes, balanced_picks[p])
+                    assert pool.choose_osts(stripes) == expected
+                    balanced_picks[p] += balanced
+                    paths_taken.add(balanced)
+            for pool in pools:
+                assert pool._fills == [o.fill_fraction for o in pool.osts]
+        assert paths_taken == {True, False}
 
 
 class TestFileOps:

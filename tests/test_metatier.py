@@ -25,7 +25,6 @@ from repro.metatier import (
     UntarStorm,
     WarmTier,
     run_meta_study,
-    shard_key,
     tradeoff_rows,
 )
 from repro.metatier.needles import NEEDLE_HEADER_BYTES
@@ -229,10 +228,13 @@ def _ops(sns: ShardedNamespace) -> int:
 
 
 class TestShardedNamespace:
-    def test_shard_key_is_stable_and_colocates_siblings(self):
-        assert shard_key("/a/b/f1", 4) == shard_key("/a/b/f2", 4)
-        assert shard_key("/a/b/f1", 4) == shard_key("/a/b/f1", 4)
-        assert 0 <= shard_key("/x", 1) < 1
+    def test_shard_of_is_stable_and_colocates_siblings(self):
+        sns = ShardedNamespace("t", n_shards=4)
+        assert sns.shard_of("/a/b/f1") == sns.shard_of("/a/b/f2")
+        # crc32 of the parent: the same shard in any fresh namespace
+        assert sns.shard_of("/a/b/f1") \
+            == ShardedNamespace("u", n_shards=4).shard_of("/a/b/f1")
+        assert ShardedNamespace("t", n_shards=1).shard_of("/x") == 0
 
     def test_create_charges_owning_shard_only(self):
         sns = ShardedNamespace("t", n_shards=3)
@@ -277,9 +279,9 @@ class TestShardedNamespace:
         # Find two directories on different shards.
         dirs = [f"/d{i}" for i in range(16)]
         src_dir = dirs[0]
-        src_shard = shard_key(f"{src_dir}/x", n)
+        src_shard = sns.shard_of(f"{src_dir}/x")
         dst_dir = next(d for d in dirs
-                       if shard_key(f"{d}/x", n) != src_shard)
+                       if sns.shard_of(f"{d}/x") != src_shard)
         sns.mkdir(src_dir, 0.0)
         sns.mkdir(dst_dir, 0.0)
         sns.create(f"{src_dir}/f", layout, 1.0)
@@ -306,8 +308,8 @@ class TestShardedNamespace:
         layout = StripeLayout(osts=(0,))
         dirs = [f"/d{i}" for i in range(16)]
         home_dir = dirs[0]
-        home = shard_key(f"{home_dir}/x", n)
-        other_dir = next(d for d in dirs if shard_key(f"{d}/x", n) != home)
+        home = sns.shard_of(f"{home_dir}/x")
+        other_dir = next(d for d in dirs if sns.shard_of(f"{d}/x") != home)
         sns.mkdir(home_dir, 0.0)
         sns.mkdir(other_dir, 0.0)
         sns.create(f"{home_dir}/t", layout, 0.0, size=1000)
@@ -321,8 +323,8 @@ class TestShardedNamespace:
         from repro.lustre.namespace import StripeLayout
         layout = StripeLayout(osts=(0,))
         sns.mkdir("/d", 0.0)
-        owner = shard_key("/d/x", 4)
-        assert [shard_key(p, 4) for p in ("/d//f", "/d/./g", "/d/f/")] \
+        owner = sns.shard_of("/d/x")
+        assert [sns.shard_of(p) for p in ("/d//f", "/d/./g", "/d/f/")] \
             == [owner] * 3
         sns.create("/d//f", layout, 0.0)
         sns.create("/d/./g", layout, 0.0)
@@ -696,3 +698,228 @@ class TestAggregatedTierUnit:
         # Segment-level ops only (the store-root mkdir + one segment
         # create; all 50 needles fit one 1 MiB segment).
         assert tier.metadata_ops() - ops_after_setup <= 2
+
+
+def _per_file_tier() -> PerFileTier:
+    # small OSTs, so a fill injected mid-sequence tips the pool into its
+    # imbalanced (emptiest-first) choice
+    return PerFileTier(make_fs(n_osts=4, capacity=1 * GB))
+
+
+def _aggregated_tier() -> AggregatedTier:
+    fs = make_sharded(n_osts=4, n_shards=3, capacity=1 * GB)
+    spec = small_spec(segment_bytes=2 * MiB, max_needle_bytes=512 * KiB)
+    stores = [SegmentStore(fs, name=f"s{i}", spec=spec) for i in range(2)]
+    return AggregatedTier(fs, stores, cache_hit_rate=0.5, seed=5)
+
+
+TIERS = {"per_file": _per_file_tier, "aggregated": _aggregated_tier}
+
+
+def _tier_state(tier) -> dict:
+    """Everything a tier's verbs change, MDS busy seconds apart."""
+    fs = tier.fs
+    namespaces = getattr(fs.namespace, "shards", [fs.namespace])
+    state = {
+        "entries": [list(ns.walk()) for ns in namespaces],
+        "osts": [(o.used_bytes, o.n_objects, o.written_bytes_total,
+                  o.read_bytes_total) for o in fs.osts],
+        "mds_ops": [s.ops_served for s in fs.mds_servers],
+        "logical": (tier.logical_creates, tier.logical_reads,
+                    tier.logical_deletes),
+    }
+    if isinstance(tier, AggregatedTier):
+        stores = tier.directory.stores
+        state["needles"] = [dict(s.index) for s in stores]
+        state["segments"] = [list(s.segments) for s in stores]
+        state["directory"] = dict(tier.directory.entries)
+        state["cache"] = (tier.cache.hits, tier.cache.misses)
+    return state
+
+
+def _assert_same_state(batched, per_op) -> None:
+    assert _tier_state(batched) == _tier_state(per_op)
+    for a, b in zip(batched.fs.mds_servers, per_op.fs.mds_servers):
+        assert a.busy_seconds == pytest.approx(b.busy_seconds, rel=1e-9)
+
+
+def _batch_script(seed: int) -> list[tuple]:
+    """A random sequence of create, read and delete batches (and an OST
+    fill and compactions), as ``(verb, args)`` steps."""
+    rng = RngStreams(seed).get("test.batches")
+    live: list[str] = []
+    steps: list[tuple] = []
+    n_made = 0
+    now = 0.0
+    for step in range(60):
+        now += 1.0
+        verb = ["create", "create", "read", "delete"][int(rng.integers(4))]
+        k = int(rng.integers(0, 40))
+        if step == 30:
+            steps.append(("fill", (0, 0.6)))
+        if step % 15 == 14:
+            steps.append(("housekeep", (now,)))
+        if verb == "create":
+            paths = [f"/d{(n_made + i) // 25}/f{n_made + i:05d}"
+                     for i in range(k)]
+            sizes = rng.integers(1, 200 * KiB, size=k).tolist()
+            n_made += k
+            live += paths
+            steps.append(("create", (paths, sizes, now)))
+        elif verb == "read" and live:
+            picks = rng.integers(0, len(live), size=k).tolist()
+            steps.append(("read", ([live[j] for j in picks], now)))
+        elif verb == "delete" and live:
+            order = rng.permutation(len(live)).tolist()[:k]
+            gone = {live[j] for j in order}
+            steps.append(("delete", ([live[j] for j in order], now)))
+            live = [p for p in live if p not in gone]
+    return steps
+
+
+def _replay(tier, steps: list[tuple], *, batched: bool) -> None:
+    for directory in sorted({path.rsplit("/", 1)[0]
+                             for verb, args in steps if verb == "create"
+                             for path in args[0]}):
+        tier.mkdir(directory, 0.0)
+    for verb, args in steps:
+        if verb == "fill":
+            ost, fraction = args
+            tier.osts[ost].allocate(
+                int(fraction * tier.osts[ost].spec.capacity_bytes))
+        elif verb == "housekeep":
+            tier.housekeep(*args)
+        elif batched:
+            getattr(tier, f"{verb}_many")(*args)
+        elif verb == "create":
+            paths, sizes, now = args
+            for path, size in zip(paths, sizes):
+                tier.create(path, size, now)
+        else:
+            paths, now = args
+            for path in paths:
+                getattr(tier, verb)(path, now)
+
+
+class TestBatchVerbs:
+    """Each batch verb leaves the state of one per-op call per element."""
+
+    @pytest.mark.parametrize("kind", sorted(TIERS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_batches_equal_per_op_calls(self, kind, seed):
+        steps = _batch_script(seed)
+        batched, per_op = TIERS[kind](), TIERS[kind]()
+        _replay(batched, steps, batched=True)
+        _replay(per_op, steps, batched=False)
+        assert batched.logical_creates > 0 and batched.logical_deletes > 0
+        _assert_same_state(batched, per_op)
+
+    @pytest.mark.parametrize("kind", sorted(TIERS))
+    def test_a_duplicate_mid_batch_raises_after_the_ops_before_it(
+            self, kind):
+        batched, per_op = TIERS[kind](), TIERS[kind]()
+        paths = [f"/d/f{i}" for i in range(6)]
+        paths[4] = paths[1]          # a duplicate in the middle
+        sizes = [1_000 * (i + 1) for i in range(6)]
+        for tier in (batched, per_op):
+            tier.mkdir("/d", 0.0)
+            tier.create("/d/old", 500, 0.0)
+        with pytest.raises((KeyError, NamespaceError)):
+            batched.create_many(paths, sizes, 1.0)
+        with pytest.raises((KeyError, NamespaceError)):
+            for path, size in zip(paths, sizes):
+                per_op.create(path, size, 1.0)
+        assert batched.logical_creates == 1 + 4
+        _assert_same_state(batched, per_op)
+        # The streams the failed batch drew from stay aligned too.
+        more = [f"/d/g{i}" for i in range(8)]
+        batched.create_many(more, [700] * 8, 2.0)
+        batched.read_many(more + ["/d/old"], 3.0)
+        for path in more:
+            per_op.create(path, 700, 2.0)
+        for path in more + ["/d/old"]:
+            per_op.read(path, 3.0)
+        _assert_same_state(batched, per_op)
+
+    @pytest.mark.parametrize("kind", sorted(TIERS))
+    def test_a_missing_path_mid_batch_raises_after_the_ops_before_it(
+            self, kind):
+        batched, per_op = TIERS[kind](), TIERS[kind]()
+        paths = [f"/d/f{i}" for i in range(5)]
+        for tier in (batched, per_op):
+            tier.mkdir("/d", 0.0)
+            tier.create_many(paths, [900] * 5, 0.0)
+        for verb in ("read", "delete"):
+            bad = paths[:2] + ["/d/nope"] + paths[2:]
+            with pytest.raises((KeyError, NamespaceError)):
+                getattr(batched, f"{verb}_many")(bad, 1.0)
+            with pytest.raises((KeyError, NamespaceError)):
+                for path in bad:
+                    getattr(per_op, verb)(path, 1.0)
+            _assert_same_state(batched, per_op)
+
+    def test_per_file_batches_charge_the_mds_once(self):
+        tier = _per_file_tier()
+        tier.mkdir("/d", 0.0)
+        mds = tier.fs.mds
+        paths = [f"/d/f{i}" for i in range(50)]
+        ops_before = mds.ops_served
+        for verb, args in (("create_many", (paths, [100] * 50, 1.0)),
+                           ("read_many", (paths, 2.0)),
+                           ("delete_many", (paths, 3.0))):
+            telemetry = Telemetry(enabled=True)
+            with use_telemetry(telemetry):
+                getattr(tier, verb)(*args)
+            (hist,) = [h for h in telemetry.histograms()
+                       if h.name == "mds.service_seconds"]
+            assert hist.count == 1
+        assert mds.ops_served - ops_before == 150
+
+
+class TestUntarScaling:
+    """An untar storm's work grows with its files: 4n files cost at most
+    4.5x the work of n, counted, not timed."""
+
+    def _work(self, monkeypatch, make_tier, n_files: int) -> dict:
+        from repro.lustre.mds import MetadataServer
+        from repro.lustre.namespace import Namespace
+
+        counts = {"service_time": 0, "fill_fraction": 0, "inserts": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(MetadataServer, "service_time", counting(
+            "service_time", MetadataServer.service_time))
+        monkeypatch.setattr(Ost, "fill_fraction", property(counting(
+            "fill_fraction", Ost.fill_fraction.fget)))
+        monkeypatch.setattr(Namespace, "_add_file", counting(
+            "inserts", Namespace._add_file))
+        monkeypatch.setattr(Namespace, "mkdir", counting(
+            "inserts", Namespace.mkdir))
+        engine = Engine()
+        tier = make_tier()
+        UntarStorm(n_files=n_files, files_per_dir=1_000,
+                   sizes=TinyFileSizes(seed=4), duration=100.0).install(
+                       engine, tier)
+        engine.run(until=200.0)
+        monkeypatch.undo()
+        assert tier.logical_creates == n_files
+        return counts
+
+    @pytest.mark.parametrize("kind", sorted(TIERS))
+    def test_untar_work_is_linear_in_files(self, monkeypatch, kind):
+        at_n = self._work(monkeypatch, TIERS[kind], 4_000)
+        at_4n = self._work(monkeypatch, TIERS[kind], 16_000)
+        for name, count in at_n.items():
+            assert count > 0, name
+            assert at_4n[name] <= 4.5 * count, name
+
+    def test_per_file_untar_charges_the_mds_per_batch(self, monkeypatch):
+        counts = self._work(monkeypatch, _per_file_tier, 4_000)
+        # four 1,000-file batches: a mkdir, the creates and the temps'
+        # unlinks each
+        assert counts["service_time"] == 3 * 4

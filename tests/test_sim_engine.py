@@ -1,6 +1,8 @@
 """Discrete-event engine tests: ordering, processes, composition."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -48,6 +50,33 @@ class TestScheduling:
         assert math.isinf(engine.peek())
         engine.call_at(4.0, lambda: None)
         assert engine.peek() == 4.0
+
+    def test_close_drops_pending_events_and_frees_their_cycles(self):
+        class Marker:
+            pass
+
+        def finished_engine(marker):
+            engine = Engine()
+            engine.every(1.0, lambda: (engine.now, marker))
+            engine.run(until=3.5)
+            return engine
+
+        gc.disable()
+        try:
+            for close in (False, True):
+                marker = Marker()
+                alive = weakref.ref(marker)
+                engine = finished_engine(marker)
+                del marker
+                if close:
+                    engine.close()
+                    assert math.isinf(engine.peek())
+                del engine
+                # the loop's closure refers to the engine: without close,
+                # only the cyclic collector frees what it reaches
+                assert (alive() is None) is close
+        finally:
+            gc.enable()
 
     def test_max_events_guard(self):
         engine = Engine()
