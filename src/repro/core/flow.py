@@ -32,8 +32,9 @@ Incremental re-solves
 ---------------------
 The network is a persistent solver state: delta operations
 (:meth:`FlowNetwork.add_flow` / :meth:`~FlowNetwork.remove_flow` /
-:meth:`~FlowNetwork.set_capacity` / :meth:`~FlowNetwork.set_demand`) mark
-only the touched components dirty, and :meth:`FlowNetwork.solve` re-solves
+:meth:`~FlowNetwork.set_capacity` / :meth:`~FlowNetwork.set_demand` /
+:meth:`~FlowNetwork.set_path`) mark only the touched components dirty,
+and :meth:`FlowNetwork.solve` re-solves
 only the *connected dirty region*: the closure of the dirty components
 under the comp<->flow incidence relation.  By construction no flow outside
 the closure crosses a component inside it, so the closure is an independent
@@ -254,6 +255,37 @@ def _edge_level(demand: float) -> float:
     if not math.isfinite(demand):
         return math.inf
     return demand - _EPS * (demand if demand > 1.0 else 1.0)
+
+
+def _check_capacity(name: str, capacity: float) -> None:
+    """Reject a NaN or negative capacity for component ``name``."""
+    if math.isnan(capacity):
+        raise ValueError(f"NaN capacity for component {name!r}")
+    if capacity < 0:
+        raise ValueError(f"negative capacity for {name!r}")
+
+
+def _check_demand(name: str, demand: float) -> None:
+    """Reject a NaN or negative demand for flow ``name``."""
+    if math.isnan(demand):
+        raise ValueError(f"NaN demand for flow {name!r}")
+    if demand < 0:
+        raise ValueError(f"negative demand for flow {name!r}")
+
+
+def _component_load(
+    rates: np.ndarray,
+    n_comp: int,
+    indices: np.ndarray,
+    flow_of_entry: np.ndarray,
+) -> np.ndarray:
+    """Per-component load of ``rates`` over a :func:`_csr` incidence:
+    every finite rate added to each component on its path, in entry
+    order (flow index, then path), infinite rates left out."""
+    load = np.zeros(n_comp)
+    fin_entry = np.isfinite(rates)[flow_of_entry]
+    np.add.at(load, indices[fin_entry], rates[flow_of_entry[fin_entry]])
+    return load
 
 
 def _fill_scalar(
@@ -509,10 +541,7 @@ def _fill_vector(
     else:  # pragma: no cover - defensive
         raise RuntimeError("progressive filling failed to converge")
 
-    load = np.zeros(n_comp)
-    finite = np.isfinite(rates)
-    fin_entry = finite[flow_of_entry]
-    np.add.at(load, indices[fin_entry], rates[flow_of_entry[fin_entry]])
+    load = _component_load(rates, n_comp, indices, flow_of_entry)
     return rates, load, sat_order, rounds_used
 
 
@@ -597,8 +626,7 @@ class FlowNetwork:
         by what-if analyses such as controller upgrades), which dirties
         the dependent solver state instead of silently keeping stale
         bookkeeping."""
-        if capacity < 0:
-            raise ValueError(f"negative capacity for {name!r}")
+        _check_capacity(name, capacity)
         i = self._comp_id.get(name)
         if i is not None:
             self.set_capacity(name, capacity)
@@ -621,8 +649,7 @@ class FlowNetwork:
 
         A no-op (nothing dirtied) when the capacity is unchanged.
         """
-        if capacity < 0:
-            raise ValueError(f"negative capacity for {name!r}")
+        _check_capacity(name, capacity)
         i = self._comp_id[name]
         capacity = float(capacity)
         if self._caps_list[i] == capacity:
@@ -651,22 +678,8 @@ class FlowNetwork:
         """
         if name in self._flows:
             raise ValueError(f"duplicate flow name {name!r}")
-        if demand < 0:
-            raise ValueError("demand must be non-negative")
-        comp_id = self._comp_id
-        # Paths are a handful of components, so a list membership test
-        # beats building a set for the dedup.
-        path_ids: list[int] = []
-        for comp in path:
-            c = comp_id.get(comp)
-            if c is None:
-                raise KeyError(f"unknown component {comp!r} in flow {name!r}")
-            if c not in path_ids:
-                path_ids.append(c)
-        if not path_ids and math.isinf(demand):
-            raise ValueError(
-                f"flow {name!r} has no components and unbounded demand"
-            )
+        _check_demand(name, demand)
+        path_ids = self._path_ids(name, path, demand)
         i = len(self._flows)
         self._demands = _grown(self._demands, i)
         self._rates = _grown(self._rates, i)
@@ -675,10 +688,9 @@ class FlowNetwork:
         # An empty-path flow is limited only by its demand; flows with
         # components get their rate from the next solve.
         self._rates[i] = demand if not path_ids else 0.0
-        path_tuple = tuple(path_ids)
-        self._flows[name] = _FlowRec(i, path_tuple)
+        self._flows[name] = _FlowRec(i, path_ids)
         self._demands_list.append(demand)
-        self._paths_list.append(path_tuple)
+        self._paths_list.append(path_ids)
         # Precomputed kernel setup (matches _fill_scalar's generic setup
         # arithmetic operation for operation).
         if demand <= _EPS or not path_ids:
@@ -747,8 +759,7 @@ class FlowNetwork:
 
         A no-op (nothing dirtied) when the demand is unchanged.
         """
-        if demand < 0:
-            raise ValueError("demand must be non-negative")
+        _check_demand(name, demand)
         rec = self._flows[name]
         if not rec.path and math.isinf(demand):
             raise ValueError(
@@ -788,6 +799,90 @@ class FlowNetwork:
         if not rec.path:
             self._rates[i] = demand
         self._result_cache = None
+
+    def set_path(self, name: str, path: list[str]) -> None:
+        """Re-route a flow over ``path``, dirtying its old and new components.
+
+        The flow keeps its slot (its position in :meth:`flow_names` and
+        in every result's rates) and its demand, so a re-route is a delta
+        operation like the others.  A no-op (nothing dirtied) when the
+        deduplicated path is unchanged.
+        """
+        rec = self._flows[name]
+        i = rec.idx
+        demand = self._demands_list[i]
+        new = self._path_ids(name, path, demand)
+        old = rec.path
+        if new == old:
+            return
+        # Move the flow's precomputed-setup contribution from the old
+        # path to the new one; an empty path is irregular (add_flow's
+        # classification).
+        old_regular = demand > _EPS and bool(old)
+        new_regular = demand > _EPS and bool(new)
+        self._n_irregular += old_regular - new_regular
+        if demand <= 1.0:
+            self._n_small += new_regular - old_regular
+        comp_act = self._comp_act
+        comp_nf = self._comp_nf
+        comp_flows = self._comp_flows
+        for c in old:
+            if old_regular:
+                comp_act[c] -= 1.0
+            comp_flows[c].discard(name)
+            comp_nf[c] -= 1
+        for c in new:
+            if new_regular:
+                comp_act[c] += 1.0
+            comp_flows[c].add(name)
+            comp_nf[c] += 1
+        self._edge_lvl[i] = _edge_level(demand) if new_regular else math.inf
+        self._nnz += len(new) - len(old)
+        rec.path = new
+        self._paths_list[i] = new
+        if not new:
+            self._rates[i] = demand
+        self._dirty.update(old)
+        self._dirty.update(new)
+        self._csr = None
+        self._result_cache = None
+
+    def invalidate(self) -> None:
+        """Drop the current allocation: the next solve is a from-scratch
+        fill, counted as ``full`` — the solve a freshly built network in
+        the same state would run, to the last bit of every rate."""
+        self._has_solution = False
+        self._result_cache = None
+
+    def _path_ids(self, name: str, path: list[str],
+                  demand: float) -> tuple[int, ...]:
+        """Flow ``name``'s unique component ids along ``path``, validated
+        for :meth:`add_flow` and :meth:`set_path`."""
+        comp_id = self._comp_id
+        # Paths are a handful of components, so a list membership test
+        # beats building a set for the dedup.
+        path_ids: list[int] = []
+        for comp in path:
+            c = comp_id.get(comp)
+            if c is None:
+                raise KeyError(f"unknown component {comp!r} in flow {name!r}")
+            if c not in path_ids:
+                path_ids.append(c)
+        if not path_ids and math.isinf(demand):
+            raise ValueError(
+                f"flow {name!r} has no components and unbounded demand"
+            )
+        return tuple(path_ids)
+
+    def component_ids(self, names) -> np.ndarray:
+        """Index of each of ``names`` in the network's component arrays
+        (ids are stable: components are append-only)."""
+        comp_id = self._comp_id
+        return np.array([comp_id[name] for name in names], dtype=np.intp)
+
+    def capacities(self, ids: np.ndarray) -> np.ndarray:
+        """The current capacities of the components ``ids``, as one array."""
+        return self._caps[ids]
 
     def component_names(self) -> list[str]:
         """Registered component names, in registration order."""
@@ -994,16 +1089,12 @@ class FlowNetwork:
         m = len(self._comp_names)
         if not self._load_valid:
             # Scalar-kernel solves defer the per-component load sum;
-            # recompute it from the authoritative rates (same summation
-            # order as the vectorized kernel: flow index, then path).
-            load = [0.0] * m
-            rates = self._rates[:n].tolist()
-            for i, path in enumerate(self._paths_list):
-                r = rates[i]
-                if r < math.inf:
-                    for c in path:
-                        load[c] += r
-            self._load[:m] = load
+            # recompute it from the authoritative rates in one unbuffered
+            # add over the cached incidence (the vector kernel's summation
+            # order: flow index, then path).
+            _indptr, indices, flow_of_entry = self._csr_incidence()
+            self._load[:m] = _component_load(
+                self._rates[:n], m, indices, flow_of_entry)
             self._load_valid = True
         return FlowResult(
             rates=self._rates[:n].copy(),

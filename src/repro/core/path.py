@@ -23,10 +23,20 @@ import numpy as np
 from repro.core.flow import RESOLVE_COUNTERS, FlowNetwork, FlowResult
 from repro.core.spider import SpiderSystem
 from repro.lustre.client import Client
-from repro.network.lnet import FineGrainedRouting, RoutingPolicy, record_routed_bytes
+from repro.network.lnet import (
+    FineGrainedRouting,
+    RouterInfo,
+    RoutingPolicy,
+    record_routed_bytes,
+)
 from repro.obs.instruments import get_telemetry
 
 __all__ = ["Transfer", "PathBuilder"]
+
+#: one flow's route: the LNET router it enters through (``None`` for an
+#: off-torus client on the SAN) and its torus axis order (``None`` when
+#: torus links are not modelled); a flow with no live router has no route
+Route = tuple[RouterInfo | None, tuple[int, int, int] | None]
 
 
 @dataclass(frozen=True)
@@ -76,23 +86,30 @@ class PathBuilder:
         #: (router name | None, oss name, ost index, is_write) per flow,
         #: in add order — parallel to FlowResult.flow_names/rates.
         self._flow_routes: list[tuple[str | None, str, int, bool]] = []
-        #: flows dropped by the most recent build because no live router
-        #: served their destination leaf (router failures, §IV-D)
+        #: flows dropped by the most recent route plan (build or re-route)
+        #: because no live router served their destination leaf (router
+        #: failures, §IV-D)
         self.unroutable_flows = 0
         #: per-class capacity of the shared ``qos:<class>`` components
         #: (see :meth:`set_class_cap`); unlisted classes are uncapped
         self._class_caps: dict[str, float] = {}
         # incremental-resolve state (see resolve()): the built network,
-        # the transfer list it was built for, and the routing-policy
-        # fingerprint the routes were chosen under
+        # the transfer list it was built for, the routing-policy
+        # fingerprint the routes were chosen under, and the route of
+        # every (transfer, OST) pair in build order
         self._net: FlowNetwork | None = None
         self._resolved_transfers: list[Transfer] | None = None
         self._routing_fp: bytes | None = None
+        self._routes: list[Route | None] = []
         self._last_result: FlowResult | None = None
         # link_utilizations' component indices into the network that
         # produced _last_result, keyed by component tuple; dropped when
-        # resolve() rebuilds the network
+        # resolve() rebuilds or re-routes the network
         self._util_ids: dict[tuple[str, ...], np.ndarray] = {}
+        # _refresh_capacities' fault-movable component names and their
+        # indices into the resolved network (None until first needed)
+        self._refresh_names: list[str] = []
+        self._refresh_ids: np.ndarray | None = None
         # solve counts of networks this builder has retired; rebuilds swap
         # in a fresh FlowNetwork, so the property below folds these in to
         # stay cumulative across the builder's lifetime
@@ -127,8 +144,8 @@ class PathBuilder:
             comps.append(inj)
         return comps
 
-    def _torus_components(self, net: FlowNetwork, src, dst) -> list[str]:
-        order = self.policy.axis_order(src, dst)
+    def _torus_components(self, net: FlowNetwork, src, dst,
+                          order: tuple[int, int, int]) -> list[str]:
         comps = []
         for link in self.system.torus.route_links_ordered(src, dst, order):
             comp = self.system.torus.link_component(link)
@@ -139,6 +156,80 @@ class PathBuilder:
 
     # -- network assembly ------------------------------------------------------------
 
+    def _plan(self, transfers: list[Transfer]) -> list[Route | None]:
+        """Ask the policy for every flow's route, in build order.
+
+        The one place routes are chosen, for :meth:`build` and the
+        in-place re-route of :meth:`resolve` alike: one
+        ``select_router`` (then ``axis_order``) call per (transfer, OST)
+        pair of an on-torus client.  Rewrites the route tables
+        (:meth:`router_usage`, the per-flow routes, and
+        :attr:`unroutable_flows` with its ``flow.unroutable`` counter);
+        returns one entry per pair, ``None`` where no live router serves
+        the destination leaf.
+        """
+        policy = self.policy
+        oss_of_ost = self.system.oss_of_ost
+        usage = self._router_usage
+        flow_routes = self._flow_routes
+        usage.clear()
+        flow_routes.clear()
+        routes: list[Route | None] = []
+        unroutable = 0
+        for t in transfers:
+            client = t.client
+            for ost_index in t.ost_indices:
+                oss = oss_of_ost(ost_index)
+                router = order = None
+                if client.on_torus:
+                    try:
+                        router = policy.select_router(client.coord, oss.leaf)
+                    except LookupError:
+                        unroutable += 1
+                        routes.append(None)
+                        continue
+                    usage[router.name] = usage.get(router.name, 0) + 1
+                    if self.include_torus:
+                        order = policy.axis_order(client.coord, router.coord)
+                flow_routes.append((None if router is None else router.name,
+                                    oss.name, ost_index, t.write))
+                routes.append((router, order))
+        self.unroutable_flows = unroutable
+        if unroutable:
+            telemetry = get_telemetry()
+            if telemetry.enabled:
+                telemetry.counter("flow.unroutable").add(float(unroutable))
+        return routes
+
+    def _flow_path(self, net: FlowNetwork, t: Transfer,
+                   client_comps: list[str], ost_index: int,
+                   route: Route) -> list[str]:
+        """The components one routed flow crosses, registering any torus
+        link or QoS class component ``net`` does not have yet."""
+        router, order = route
+        ost = self.system.osts[ost_index]
+        oss = self.system.oss_of_ost(ost_index)
+        path = list(client_comps)
+        if router is not None:
+            if order is not None:
+                path += self._torus_components(
+                    net, t.client.coord, router.coord, order)
+            path.append(f"router:{router.name}")
+            entry_host = router.name
+        else:
+            entry_host = t.client.name  # off-torus host on the SAN
+        path += self.system.fabric.path_components(entry_host, oss.name)
+        path.append(oss.component)
+        path.append(f"couplet:{ost.ssu_index}")
+        path.append(ost.component)
+        if t.qos_class is not None:
+            qos_comp = f"qos:{t.qos_class}"
+            if not net.has_component(qos_comp):
+                net.add_component(
+                    qos_comp, self._class_caps.get(t.qos_class, math.inf))
+            path.append(qos_comp)
+        return path
+
     def build(self, transfers: list[Transfer]) -> FlowNetwork:
         """A flow network with one flow per (transfer, OST) pair.
 
@@ -148,11 +239,13 @@ class PathBuilder:
         :attr:`unroutable_flows` (plus the ``flow.unroutable`` telemetry
         counter when enabled).
         """
+        return self._assemble(transfers, self._plan(transfers))
+
+    def _assemble(self, transfers: list[Transfer],
+                  routes: list[Route | None]) -> FlowNetwork:
+        """A fresh network carrying ``transfers`` over planned ``routes``."""
         net = FlowNetwork()
         self._register_static_components(net)
-        self._router_usage.clear()
-        self._flow_routes.clear()
-        self.unroutable_flows = 0
         # A build replaces the route tables, so any network resolve()
         # may be holding no longer matches them.  Fold its solve counts
         # into the base first so solve_counts stays cumulative.
@@ -160,53 +253,52 @@ class PathBuilder:
             for kind, count in self._net.solve_counts.items():
                 self._solve_counts_base[kind] += count
         self._net = None
+        self._routes = routes
+        self._refresh_ids = None
 
+        planned = iter(routes)
         for t in transfers:
             client_comps = self._client_components(net, t.client)
             per_ost_demand = t.demand / len(t.ost_indices)
             for ost_index in t.ost_indices:
-                ost = self.system.osts[ost_index]
-                oss = self.system.oss_of_ost(ost_index)
-                path = list(client_comps)
-                router_name = None
-                if t.client.on_torus:
-                    try:
-                        router = self.policy.select_router(
-                            t.client.coord, oss.leaf)
-                    except LookupError:
-                        self.unroutable_flows += 1
-                        telemetry = get_telemetry()
-                        if telemetry.enabled:
-                            telemetry.counter("flow.unroutable").add(1.0)
-                        continue
-                    router_name = router.name
-                    self._router_usage[router.name] = (
-                        self._router_usage.get(router.name, 0) + 1
-                    )
-                    if self.include_torus:
-                        path += self._torus_components(
-                            net, t.client.coord, router.coord
-                        )
-                    path.append(f"router:{router.name}")
-                    entry_host = router.name
-                else:
-                    entry_host = t.client.name  # off-torus host on the SAN
-                path += self.system.fabric.path_components(entry_host, oss.name)
-                path.append(oss.component)
-                path.append(f"couplet:{ost.ssu_index}")
-                path.append(ost.component)
-                if t.qos_class is not None:
-                    qos_comp = f"qos:{t.qos_class}"
-                    if not net.has_component(qos_comp):
-                        net.add_component(
-                            qos_comp, self._class_caps.get(t.qos_class, math.inf))
-                    path.append(qos_comp)
-                flow_name = f"{t.name}->ost{ost_index}"
-                self._flow_routes.append(
-                    (router_name, oss.name, ost_index, t.write)
-                )
-                net.add_flow(flow_name, path, demand=per_ost_demand)
+                route = next(planned)
+                if route is None:
+                    continue
+                net.add_flow(
+                    f"{t.name}->ost{ost_index}",
+                    self._flow_path(net, t, client_comps, ost_index, route),
+                    demand=per_ost_demand)
         return net
+
+    def _reroute(self, net: FlowNetwork, transfers: list[Transfer],
+                 routes: list[Route | None]) -> bool:
+        """Move ``net``'s flows onto freshly planned ``routes`` in place.
+
+        Only flows whose route changed are re-pathed
+        (:meth:`FlowNetwork.set_path` keeps each flow's slot).  Returns
+        False, touching nothing, when the set of unroutable flows
+        changed: dropping or restoring a flow would shift the slots a
+        fresh build assigns, so the caller rebuilds instead.
+        """
+        old_routes = self._routes
+        if any((new is None) != (old is None)
+               for new, old in zip(routes, old_routes)):
+            return False
+        k = 0
+        for t in transfers:
+            client_comps = None
+            for ost_index in t.ost_indices:
+                new, old = routes[k], old_routes[k]
+                k += 1
+                if new is None or new == old:
+                    continue
+                if client_comps is None:
+                    client_comps = self._client_components(net, t.client)
+                net.set_path(
+                    f"{t.name}->ost{ost_index}",
+                    self._flow_path(net, t, client_comps, ost_index, new))
+        self._routes = routes
+        return True
 
     def solve(self, transfers: list[Transfer]) -> FlowResult:
         return self.build(transfers).solve()
@@ -226,23 +318,39 @@ class PathBuilder:
         default the router-online bits, but adaptive policies fold in
         their own routing state and may dampen flaps.  When the
         fingerprint changes — routes the policy would pick no longer
-        match the built network — the policy's balancing state is reset
-        and the network rebuilt, exactly what a fresh builder would
-        produce.  Callers must pass the *same list object* between
-        calls to stay on the fast path; a different list forces a
-        rebuild.
+        match the built network — the policy's balancing state is reset,
+        every flow's route is chosen again in build order, and only the
+        flows whose route moved are re-pathed in the kept network.  The
+        next solve is then a from-scratch fill, so rates, bottlenecks
+        and :attr:`solve_counts` are exactly what a fresh builder would
+        produce.  When the set of unroutable flows changes the network
+        is rebuilt instead.  Callers must pass the *same list object*
+        between calls to stay on the fast path; a different list forces
+        a rebuild.
         """
         fp = self.policy.fingerprint()
-        if (self._net is None or transfers is not self._resolved_transfers
-                or fp != self._routing_fp):
+        net = self._net
+        if net is None or transfers is not self._resolved_transfers:
             self.policy.reset()
-            self._net = self.build(transfers)
+            net = self.build(transfers)
             self._resolved_transfers = transfers
-            self._routing_fp = fp
+            self._util_ids = {}
+        elif fp != self._routing_fp:
+            self.policy.reset()
+            routes = self._plan(transfers)
+            if self._reroute(net, transfers, routes):
+                self._refresh_capacities(net)
+                net.invalidate()
+            else:
+                net = self._assemble(transfers, routes)
+            # A re-route may register components the cached indices
+            # predate (they would read 0.0 forever).
             self._util_ids = {}
         else:
-            self._refresh_capacities(self._net)
-        result = self._net.solve()
+            self._refresh_capacities(net)
+        self._net = net
+        self._routing_fp = fp
+        result = net.solve()
         self._last_result = result
         return result
 
@@ -253,20 +361,30 @@ class PathBuilder:
         capacity moves under faults: fabric cables (degrade/fail/repair),
         couplets (controller failover), and OSTs (disk state, fill
         level).  Router, OSS, client, switch, and torus-link capacities
-        are spec constants and stay untouched; unchanged values are
-        no-ops inside the network, dirtying nothing.
+        are spec constants and stay untouched.  The new values are
+        compared against the network's capacities in one array read
+        (component indices cached per network), and only the changed
+        ones are pushed.
         """
         sys = self.system
-        sys.fabric.refresh_components(net)
-        for i, ssu in enumerate(sys.ssus):
-            net.set_capacity(f"couplet:{i}",
-                             ssu.couplet.bw_cap(fs_level=self.fs_level))
-        ost_caps = sys.ost_flow_capacities(fs_level=self.fs_level)
-        for ost, cap in zip(sys.osts, ost_caps):
-            net.set_capacity(ost.component, float(cap))
+        if self._refresh_ids is None:
+            self._refresh_names = (
+                [cable.component for cable in sys.fabric.cables]
+                + [f"couplet:{i}" for i in range(len(sys.ssus))]
+                + [ost.component for ost in sys.osts])
+            self._refresh_ids = net.component_ids(self._refresh_names)
+        caps = np.concatenate((
+            sys.fabric.cable_capacities(),
+            sys.couplet_caps(fs_level=self.fs_level),
+            sys.ost_flow_capacities(fs_level=self.fs_level)))
+        names = self._refresh_names
+        for k in np.flatnonzero(caps != net.capacities(self._refresh_ids)
+                                ).tolist():
+            net.set_capacity(names[k], float(caps[k]))
 
     def router_usage(self) -> dict[str, int]:
-        """Flows per router from the most recent :meth:`build`."""
+        """Flows per router from the most recent route plan (a
+        :meth:`build`, or a :meth:`resolve` that re-routed)."""
         return dict(self._router_usage)
 
     @property

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.units import GB
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -151,19 +153,17 @@ class InfinibandFabric:
         for k in range(self.spec.n_core_switches):
             net.add_component(f"ibcore:{k}", self.spec.core_crossbar_bw)
 
-    def refresh_components(self, net: "FlowNetwork") -> None:
-        """Push current capacities into an already-registered network.
+    def cable_capacities(self) -> np.ndarray:
+        """Every cable's current capacity, in :attr:`cables` order.
 
         The delta counterpart of :meth:`register_components` for
         incremental re-solves: only cable capacities move under faults
-        (degrade/fail/repair set ``degradation``), so only cables are
-        pushed — switch crossbars and uplinks are spec constants.  An
-        unchanged capacity is a no-op inside the network, dirtying
-        nothing.
+        (degrade/fail/repair set ``degradation``); switch crossbars and
+        uplinks are spec constants.
         """
-        port_bw = self.spec.port_bw
-        for cable in self._cables.values():
-            net.set_capacity(cable.component, port_bw * cable.degradation)
+        return self.spec.port_bw * np.fromiter(
+            (cable.degradation for cable in self._cables.values()),
+            dtype=float, count=len(self._cables))
 
     # -- fault injection -------------------------------------------------------------
 

@@ -138,3 +138,79 @@ class TestValidation:
         net = FlowNetwork()
         with pytest.raises(ValueError):
             net.add_flow("f", [])
+
+    def test_nan_capacity_rejected_naming_the_component(self):
+        net = FlowNetwork()
+        net.add_component("link", 10.0)
+        net.add_flow("f", ["link"])
+        with pytest.raises(ValueError, match="'fresh'"):
+            net.add_component("fresh", math.nan)
+        for call in (lambda: net.set_capacity("link", math.nan),
+                     lambda: net.add_component("link", math.nan)):
+            with pytest.raises(ValueError, match="'link'"):
+                call()
+        # The rejected values left the network solvable as it was.
+        assert net.capacity_of("link") == 10.0
+        assert net.solve().rates.tolist() == [10.0]
+
+    def test_nan_demand_rejected_naming_the_flow(self):
+        net = FlowNetwork()
+        net.add_component("link", 10.0)
+        net.add_flow("small", ["link"], demand=3.0)
+        with pytest.raises(ValueError, match="'greedy'"):
+            net.add_flow("greedy", ["link"], demand=math.nan)
+        assert net.flow_names() == ["small"]
+        with pytest.raises(ValueError, match="'small'"):
+            net.set_demand("small", math.nan)
+        assert net.solve().rates.tolist() == [3.0]
+
+    def test_set_path_validates_like_add_flow(self):
+        net = FlowNetwork()
+        net.add_component("a", 4.0)
+        net.add_flow("bounded", ["a"], demand=1.0)
+        net.add_flow("unbounded", ["a"])
+        with pytest.raises(KeyError, match="'bounded'"):
+            net.set_path("bounded", ["a", "missing"])
+        with pytest.raises(ValueError, match="'unbounded'"):
+            net.set_path("unbounded", [])
+        with pytest.raises(KeyError):
+            net.set_path("no-such-flow", ["a"])
+        net.set_path("bounded", [])  # limited by its demand alone
+        assert net.solve().rates.tolist() == [1.0, 4.0]
+
+
+class TestSetPath:
+    def test_reroute_keeps_slot_and_dirties_both_paths(self):
+        net = FlowNetwork()
+        for name, cap in (("a", 10.0), ("b", 4.0), ("spare", 100.0)):
+            net.add_component(name, cap)
+        net.add_flow("x", ["a"])
+        net.add_flow("y", ["a"])
+        net.add_flow("z", ["spare"], demand=1.0)
+        assert net.solve().rates.tolist() == [5.0, 5.0, 1.0]
+        net.set_path("x", ["b", "b"])
+        result = net.solve()
+        assert result.flow_names == ["x", "y", "z"]
+        assert result.rates.tolist() == [4.0, 10.0, 1.0]
+        assert net.flow_spec("x") == (["b"], math.inf)
+        assert net.solve_counts == {"full": 1, "delta": 1, "cached": 0}
+
+    def test_unchanged_path_is_a_noop(self):
+        net = FlowNetwork()
+        net.add_component("a", 10.0)
+        net.add_flow("x", ["a"])
+        net.solve()
+        net.set_path("x", ["a", "a"])
+        net.solve()
+        assert net.solve_counts == {"full": 1, "delta": 0, "cached": 1}
+
+    def test_invalidate_forces_a_full_fill(self):
+        net = FlowNetwork()
+        net.add_component("a", 10.0)
+        net.add_flow("x", ["a"])
+        first = net.solve()
+        net.invalidate()
+        again = net.solve()
+        assert again is not first
+        assert again.rates.tolist() == first.rates.tolist()
+        assert net.solve_counts == {"full": 2, "delta": 0, "cached": 0}

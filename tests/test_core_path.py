@@ -1,12 +1,15 @@
 """End-to-end path construction tests on the mini system."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from repro.core.path import PathBuilder, Transfer
-from repro.network.lnet import RoundRobinRouting
+from repro.network.lnet import FineGrainedRouting, RoundRobinRouting
+from repro.network.routing import FlowletRouting, FlowletSpec
+from repro.network.torus import AXIS_ORDERS, Torus3D
 from repro.units import GB
 
 
@@ -162,7 +165,7 @@ class TestIncrementalResolve:
         mini_system.lnet.set_router_online(name, False)
         mini_system.fabric.fail_cable(name)
         self._assert_matches_fresh(mini_system, builder, transfers)
-        assert builder._net is not first_net  # fingerprint forced a rebuild
+        assert builder._net is first_net  # network kept: re-routed in place
         mini_system.lnet.set_router_online(name, True)
         mini_system.fabric.repair_cable(name)
         self._assert_matches_fresh(mini_system, builder, transfers)
@@ -246,3 +249,135 @@ class TestLinkUtilizations:
                 != second.component_ids(comps)).any()
         assert builder.link_utilizations(comps).tolist() \
             == self._scalar(second, comps)
+
+
+class TestRerouteOracle:
+    """A router flip re-routes the kept network in place; after every
+    resolve the builder must equal a freshly built one, exactly (``==``),
+    on rates, routes, bottlenecks, watched-link utilizations and the
+    cumulative solve census."""
+
+    @staticmethod
+    def _transfers(system, rng):
+        # No flow reaches leaf 3, so flipping one of its routers moves no
+        # route (the fingerprint still changes).
+        reachable = [i for i in range(len(system.osts))
+                     if system.oss_of_ost(i).leaf != 3]
+        transfers = []
+        for i in range(36):
+            client = system.clients[int(rng.integers(len(system.clients)))]
+            k = int(rng.integers(1, 4))
+            osts = tuple(int(o) for o in rng.choice(reachable, k,
+                                                    replace=False))
+            demand = math.inf if rng.random() < 0.3 else float(
+                rng.uniform(0.1, 3.0)) * GB
+            transfers.append(Transfer(f"t{i}", client, osts, demand=demand))
+        return transfers
+
+    @staticmethod
+    def _watched(system):
+        """Every router and every torus link any client could cross."""
+        links = set()
+        for router in system.routers:
+            for client in system.clients:
+                for order in AXIS_ORDERS:
+                    links.update(system.torus.route_links_ordered(
+                        client.coord, router.coord, order))
+        comps = {f"router:{router.name}" for router in system.routers}
+        comps.update(Torus3D.link_component(link) for link in links)
+        return tuple(sorted(comps))
+
+    def _run(self, system, policy, *, include_torus, seed, steps=40):
+        rng = np.random.default_rng(seed)
+        transfers = self._transfers(system, rng)
+        watched = self._watched(system)
+        builder = PathBuilder(system, policy=policy,
+                              include_torus=include_torus)
+        expected = {"full": 0, "delta": 0, "cached": 0}
+        routers = [router.name for router in system.routers]
+        leaf0 = [r.name for r in system.routers if r.leaf == 0]
+        last_fp = None
+        moved_none = moved_some = 0
+        last_routes = None
+
+        def routes():  # (router, axis order) of every (transfer, OST) pair
+            return [route and (route[0].name, route[1])
+                    for route in builder._routes]
+
+        for step in range(steps):
+            cap_moved = False
+            if step == 12:  # a whole leaf goes dark: flows become unroutable
+                for name in leaf0:
+                    system.lnet.set_router_online(name, False)
+            elif step == 16:
+                for name in leaf0:
+                    system.lnet.set_router_online(name, True)
+            elif step and rng.random() < 0.7:
+                for _flip in range(int(rng.integers(1, 3))):
+                    name = routers[int(rng.integers(len(routers)))]
+                    system.lnet.set_router_online(
+                        name, not system.lnet.router_online(name))
+            if step and rng.random() < 0.2:
+                oss = system.osses[int(rng.integers(len(system.osses)))]
+                if system.fabric.cable_of(oss.name).healthy:
+                    system.fabric.degrade_cable(oss.name, 0.4)
+                else:
+                    system.fabric.repair_cable(oss.name)
+                cap_moved = True
+            if isinstance(policy, FlowletRouting):
+                # Hot links push flowlets onto other routers and axis
+                # orders; two refreshes commit online-bit changes (the
+                # dwell is zero).
+                now = 10.0 * step
+                if rng.random() < 0.5:
+                    for comp in rng.choice(watched, 6,
+                                           replace=False).tolist():
+                        policy.feed.observe(comp, 1.0, now)
+                policy.refresh(now)
+                policy.refresh(now)
+            snapshot = copy.deepcopy(policy, {id(policy.config): policy.config})
+
+            result = builder.resolve(transfers)
+            fp = policy.fingerprint()
+            if last_fp is None or fp != last_fp:
+                expected["full"] += 1
+            elif cap_moved:
+                expected["delta"] += 1
+            else:
+                expected["cached"] += 1
+            if last_fp is not None and fp != last_fp:
+                if routes() == last_routes:
+                    moved_none += 1
+                else:
+                    moved_some += 1
+            last_fp, last_routes = fp, routes()
+
+            fresh = PathBuilder(system, policy=snapshot,
+                                include_torus=include_torus)
+            want = fresh.resolve(transfers)
+            assert result.flow_names == want.flow_names, step
+            assert result.rates.tolist() == want.rates.tolist(), step
+            assert result.bottlenecks == want.bottlenecks, step
+            assert builder.router_usage() == fresh.router_usage(), step
+            assert builder._flow_routes == fresh._flow_routes, step
+            assert builder.unroutable_flows == fresh.unroutable_flows, step
+            assert (builder.link_utilizations(watched).tolist()
+                    == fresh.link_utilizations(watched).tolist()), step
+            assert builder.solve_counts == expected, step
+        return moved_none, moved_some
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fgr_reroutes_match_fresh_builds(self, mini_system, seed):
+        moved_none, moved_some = self._run(
+            mini_system, FineGrainedRouting(mini_system.lnet),
+            include_torus=False, seed=seed)
+        assert moved_none and moved_some
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_flowlet_torus_reroutes_match_fresh_builds(self, mini_system,
+                                                      seed):
+        policy = FlowletRouting(mini_system.lnet, spec=FlowletSpec(
+            min_dwell_s=0.0, reroute_dwell_s=0.0))
+        moved_none, moved_some = self._run(
+            mini_system, policy, include_torus=True, seed=seed)
+        assert moved_none and moved_some

@@ -2,7 +2,8 @@
 
 The contract under test (DESIGN.md §9, docs/PERFORMANCE.md): a
 :class:`FlowNetwork` driven through any sequence of delta operations
-(``add_flow`` / ``remove_flow`` / ``set_capacity`` / ``set_demand``)
+(``add_flow`` / ``remove_flow`` / ``set_capacity`` / ``set_demand`` /
+``set_path``)
 allocates the same rates as a network built from scratch in the current
 state — within 1e-9 relative, the float-associativity slack between the
 two fill orders.  Plus the :class:`Epoch` batching contract: permuting
@@ -76,16 +77,23 @@ def _random_delta(rng, nets, comps, step):
                   else float(rng.uniform(0.01, 30.0)))
         method, args = "add_flow", (f"f{step}", _random_path(rng, comps),
                                     demand)
-    elif op < 0.6:
+    elif op < 0.55:
         method, args = "remove_flow", (flows[int(rng.integers(len(flows)))],)
-    elif op < 0.8:
+    elif op < 0.7:
         cap = (math.inf if rng.random() < 0.2
                else float(rng.uniform(0.5, 50.0)))
         method, args = "set_capacity", (comps[int(rng.integers(len(comps)))],
                                         cap)
-    else:
+    elif op < 0.85:
         method, args = "set_demand", (flows[int(rng.integers(len(flows)))],
                                       float(rng.uniform(0.01, 30.0)))
+    else:
+        name = flows[int(rng.integers(len(flows)))]
+        # An empty path is legal for a bounded flow (demand-limited).
+        path = ([] if rng.random() < 0.1
+                and math.isfinite(nets[0].flow_spec(name)[1])
+                else _random_path(rng, comps))
+        method, args = "set_path", (name, path)
     for net in nets:
         getattr(net, method)(*args)
 
@@ -102,6 +110,28 @@ def test_random_delta_sequence_matches_scratch(seed):
     counts = net.solve_counts
     assert counts["full"] >= 1
     assert counts["delta"] + counts["cached"] > 0
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42, 43])
+def test_component_load_matches_the_python_loop(seed):
+    """The deferred per-component load (one unbuffered ``np.add.at`` over
+    the incidence) equals, bit for bit, the flow-then-path python sum it
+    replaced — with unbounded flows (infinite rates) left out."""
+    rng = np.random.default_rng(seed)
+    comps, (net,) = _random_networks(rng)
+    for step in range(30):
+        _random_delta(rng, [net], comps, step)
+    net.add_component("uncapped", math.inf)
+    net.add_flow("free", ["uncapped"])
+    result = net.solve()  # nnz is small: the scalar kernel defers the load
+    rates = result.rates.tolist()
+    assert math.isinf(result.rate_of("free"))
+    load = dict.fromkeys(net.component_names(), 0.0)
+    for name, rate in zip(result.flow_names, rates):
+        if rate < math.inf:
+            for comp in net.flow_spec(name)[0]:
+                load[comp] += rate
+    assert result.component_load == load
 
 
 @pytest.mark.parametrize("scalar_nnz_max", [flow._SCALAR_NNZ_MAX, 0])
